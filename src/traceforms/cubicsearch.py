@@ -17,11 +17,10 @@ confirmed pairwise by an exact resultant-based isomorphism test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import isqrt
 
 from .errors import LimitError
-from .linalg import det
-from .numberfield import dedekind_p_maximal, maximal_order
+from .numberfield import _disc_and_index, _maximal_order
 from .polys import (
     factor_monic_int,
     is_squarefree_q,
@@ -52,14 +51,14 @@ class CubicFieldClass:
 
 def search_bounds(limit: int) -> tuple[int, int]:
     """(|a| bound, b bound) covering every cubic field with |disc| <= limit."""
-    t2 = 2 * limit**0.5
-    return int(limit**0.5) + 1, int((t2 / 3) ** 1.5) + 2
+    # floor((2 sqrt(L) / 3)^(3/2)) = floor((64 L^3 / 729)^(1/4))
+    return isqrt(limit) + 1, isqrt(isqrt(64 * limit**3 // 729)) + 2
 
 
 def _sieve(n: int):
     flags = bytearray([1]) * (n + 1)
     flags[0:2] = b"\x00\x00"
-    for p in range(2, int(n**0.5) + 1):
+    for p in range(2, isqrt(n) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
     return [p for p in range(2, n + 1) if flags[p]]
@@ -86,13 +85,8 @@ def _merge_fp(f1, f2):
 
 def _cubic_field_disc(a: int, b: int, pdisc: int, factors: dict, cache: dict):
     """(field disc, index) for x^3 + a x + b with pdisc pre-factored."""
-    poly = [b, a, 0, 1]
-    basis = maximal_order(poly, pdisc_factors=factors, dedekind_cache=cache)
-    d = det(basis)
-    disc = Fraction(pdisc) * d * d
-    assert disc.denominator == 1
-    index = Fraction(1) / d
-    return int(disc), abs(int(index))
+    order = _maximal_order([b, a, 0, 1], factors, cache)
+    return _disc_and_index(order, pdisc)
 
 
 def cubics_isomorphic(f, g, max_shift: int = 12) -> bool:
@@ -119,7 +113,7 @@ def enumerate_cubic_fields(limit: int, progress=None) -> list[CubicFieldClass]:
         return []
     amax, bmax = search_bounds(limit)
     max_disc = 4 * amax**3 + 27 * bmax**2
-    primes = _sieve(int(max_disc**0.5) + 2)
+    primes = _sieve(isqrt(max_disc) + 2)
     psq = [p * p for p in primes]
     divisors = [[] for _ in range(bmax + 1)]
     for d in range(1, bmax + 1):

@@ -6,13 +6,21 @@ dividing the index (where native factorization mod p is not valid).  The
 maximal order is computed by Dedekind p-maximality tests plus the standard
 radical/multiplier enlargement loop at every prime whose square divides the
 polynomial discriminant.
+
+All order arithmetic runs on one integer core: an order is a pair (B, den)
+of integer rows B, upper triangular with positive diagonal, over one
+common denominator, so basis element i is B[i]/den over the power basis.
+Multiplication tables and ideal coordinates come from exact integer
+forward substitution against a triangular basis, and the discriminant and
+index are read off the diagonal.  No Fraction enters this arithmetic; only
+`maximal_order` and `NumberFieldData.basis` hand out Fraction rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import (
     BadBasisError,
@@ -21,7 +29,7 @@ from .errors import (
     NotAFieldError,
     UnsupportedSplittingError,
 )
-from .linalg import fp_left_kernel, hnf, mat_inverse, mat_mul
+from .linalg import fp_left_kernel, hnf, mat_mul
 from .padic import factorize, is_prime
 from .polys import (
     discriminant,
@@ -110,7 +118,8 @@ class NumberFieldData:
 
 
 # ---------------------------------------------------------------------------
-# order arithmetic
+# order arithmetic on (B, den), as in H. Cohen, GTM 138, 2.4 and 6.1; the
+# index [O : Z[theta]] is den^n over the product of the diagonal of B
 
 
 def _reduction_vectors(poly, count):
@@ -125,25 +134,59 @@ def _reduction_vectors(poly, count):
     return red
 
 
-def _mult_table(basis, poly):
+def _solve_triangular(h, w):
+    """Integer row x with x.h = w for upper triangular h, or None."""
+    x = []
+    for k, hk in enumerate(h):
+        s = w[k]
+        for t, xt in enumerate(x):
+            if xt:
+                s -= xt * h[t][k]
+        q, r = divmod(s, hk[k])
+        if r:
+            return None
+        x.append(q)
+    return x
+
+
+def _with_content_removed(rows, den):
+    """(rows, den) divided by the gcd of den and every entry."""
+    g = gcd(den, *(x for row in rows for x in row))
+    if g == 1:
+        return rows, den
+    return [[x // g for x in row] for row in rows], den // g
+
+
+def _mult_table(order, red):
     """Integer coordinates of b_i * b_j in the basis; raises if not a ring."""
-    n = len(basis)
-    red = _reduction_vectors(poly, 2 * n - 1)
-    inv = mat_inverse(basis)
+    rows, den = order
+    n = len(rows)
     table = [[None] * n for _ in range(n)]
     for i in range(n):
+        bi = rows[i]
         for j in range(i + 1):
-            prod = pmul(list(basis[i]), list(basis[j]))
-            prod += [Fraction(0)] * (2 * n - 1 - len(prod))
-            vec = [
-                sum(prod[k] * red[k][c] for k in range(2 * n - 1)) for c in range(n)
-            ]
-            coords = [
-                sum(vec[c] * inv[c][t] for c in range(n)) for t in range(n)
-            ]
-            if any(x.denominator != 1 for x in coords):
+            bj = rows[j]
+            prod = [0] * (2 * n - 1)
+            for k in range(n):
+                if bi[k]:
+                    for l in range(n):
+                        prod[k + l] += bi[k] * bj[l]
+            # b_i b_j = vec / den^2, so its coordinates x solve x.B = vec / den
+            vec = prod[:n]
+            for k in range(n, 2 * n - 1):
+                if prod[k]:
+                    rk = red[k]
+                    for c in range(n):
+                        vec[c] += prod[k] * rk[c]
+            w = []
+            for v in vec:
+                q, r = divmod(v, den)
+                if r:
+                    raise BadBasisError("basis is not closed under multiplication")
+                w.append(q)
+            coords = _solve_triangular(rows, w)
+            if coords is None:
                 raise BadBasisError("basis is not closed under multiplication")
-            coords = [int(x) for x in coords]
             table[i][j] = table[j][i] = coords
     return table
 
@@ -187,18 +230,19 @@ def _frobenius_kernel(table, p, n):
     return fp_left_kernel(m, p)
 
 
-def _enlarge_at(basis, poly, p):
-    """One radical/multiplier step at p; returns (new basis, index gain
+def _enlarge_at(order, red, p):
+    """One radical/multiplier step at p; returns (new order, index gain
     exponent k with [O' : O] = p^k)."""
-    n = len(basis)
-    table = _mult_table(basis, poly)
+    rows, den = order
+    n = len(rows)
+    table = _mult_table(order, red)
     rad = _frobenius_kernel(table, p, n)
     ideal_rows = [list(v) for v in rad] + [
         [p if c == i else 0 for c in range(n)] for i in range(n)
     ]
     h = hnf(ideal_rows)
-    assert len(h) == n
-    hinv = mat_inverse(h)
+    if len(h) != n:
+        raise ConsistencyError(f"radical at {p} does not have full rank")
     stacked = []
     for i in range(n):
         row = []
@@ -210,26 +254,20 @@ def _enlarge_at(basis, poly, p):
                     tic = table[i][c]
                     for t in range(n):
                         prod[t] += h[k][c] * tic[t]
-            # convert to ideal coordinates; integrality certifies I_p is an ideal
-            for t in range(n):
-                val = sum(Fraction(prod[c]) * hinv[c][t] for c in range(n))
-                assert val.denominator == 1
-                row.append(int(val))
+            # ideal coordinates; integrality certifies I_p is an ideal
+            coords = _solve_triangular(h, prod)
+            if coords is None:
+                raise ConsistencyError(f"radical at {p} is not an ideal")
+            row.extend(coords)
         stacked.append(row)
     kernel = fp_left_kernel(stacked, p)
     if not kernel:
-        return basis, 0
+        return order, 0
     new_rows = [list(v) for v in kernel] + [
         [p if c == i else 0 for c in range(n)] for i in range(n)
     ]
     hu = hnf(new_rows)
-    new_basis = []
-    for row in hu:
-        coords = [
-            sum(Fraction(row[c], p) * basis[c][t] for c in range(n)) for t in range(n)
-        ]
-        new_basis.append(coords)
-    return new_basis, len(kernel)
+    return _with_content_removed(mat_mul(hu, rows), den * p), len(kernel)
 
 
 def _dedekind_step(poly, p):
@@ -251,7 +289,8 @@ def _dedekind_step(poly, p):
         ((gh[i] if i < len(gh) else 0) - (poly[i] if i < len(poly) else 0))
         for i in range(max(len(gh), len(poly)))
     ]
-    assert all(c % p == 0 for c in diff)
+    if any(c % p for c in diff):
+        raise ConsistencyError(f"factors mod {p} do not multiply to the polynomial")
     fbar = pnormalize([(c // p) % p for c in diff])
     from .polys import mp_divmod, mp_gcd, mp_normalize
 
@@ -267,29 +306,13 @@ def dedekind_p_maximal(poly, p) -> bool:
     return _dedekind_step(poly, p)[0]
 
 
-def _fraction_hnf(rows):
-    """HNF of a lattice given by Fraction rows; returns Fraction rows."""
-    lcm = 1
-    for row in rows:
-        for x in row:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    h = hnf([[int(x * lcm) for x in row] for row in rows])
-    return [[Fraction(x, lcm) for x in row] for row in h]
-
-
-def maximal_order(poly, pdisc_factors=None, dedekind_cache=None):
-    """Integral basis (rows over the power basis) of the maximal order.
-
-    Dedekind's criterion at p depends only on the polynomial (enlargements
-    at other primes never change the p-local order), so it gates the work
-    at every prime and supplies the first enlargement directly; the
-    radical/multiplier loop finishes the rare deeper-index cases and stops
-    once the index gain reaches its cap v_p(poly disc) // 2.
-    """
+def _maximal_order(poly, pdisc_factors=None, dedekind_cache=None):
+    """(B, den) of the maximal order; see `maximal_order`."""
     n = pdeg(poly)
     if pdisc_factors is None:
         pdisc_factors = factorize(discriminant(poly))
-    basis = [[Fraction(1 if c == k else 0) for c in range(n)] for k in range(n)]
+    rows = [[1 if c == k else 0 for c in range(n)] for k in range(n)]
+    den = 1
     red = None
     for p, e in pdisc_factors.items():
         if e < 2:
@@ -308,26 +331,66 @@ def maximal_order(poly, pdisc_factors=None, dedekind_cache=None):
         # first enlargement from the criterion: add (ustar(theta)/p)*Z[theta]
         if red is None:
             red = _reduction_vectors(poly, 2 * n - 1)
-        rows = [list(r) for r in basis]
+        common = den * p // gcd(den, p)
+        scale, uscale = common // den, common // p
+        gens = [[scale * x for x in row] for row in rows]
         for j in range(n):
             shifted = [0] * j + list(ustar)
-            coords = [
-                sum(shifted[k] * red[k][c] for k in range(len(shifted)))
+            gens.append([
+                uscale * sum(shifted[k] * red[k][c] for k in range(len(shifted)))
                 for c in range(n)
-            ]
-            rows.append([Fraction(x, p) for x in coords])
-        basis = _fraction_hnf(rows)
+            ])
+        order = _with_content_removed(hnf(gens), common)
         cap = e // 2
         for _ in range(cap + 1):
             if gained >= cap:
                 break
-            basis, k = _enlarge_at(basis, poly, p)
+            order, k = _enlarge_at(order, red, p)
             if k == 0:
                 break
             gained += k
         else:
             raise LimitError(f"maximal order iteration cap exceeded at {p}")
-    return basis
+        rows, den = order
+    return rows, den
+
+
+def maximal_order(poly, pdisc_factors=None, dedekind_cache=None):
+    """Integral basis (rows over the power basis) of the maximal order.
+
+    Dedekind's criterion at p depends only on the polynomial (enlargements
+    at other primes never change the p-local order), so it gates the work
+    at every prime and supplies the first enlargement directly; the
+    radical/multiplier loop finishes the rare deeper-index cases and stops
+    once the index gain reaches its cap v_p(poly disc) // 2.
+    """
+    return _fraction_rows(_maximal_order(poly, pdisc_factors, dedekind_cache))
+
+
+def _fraction_rows(order):
+    rows, den = order
+    return [[Fraction(x, den) for x in row] for row in rows]
+
+
+def _diagonal_product(rows):
+    out = 1
+    for i, row in enumerate(rows):
+        out *= row[i]
+    return out
+
+
+def _disc_and_index(order, pdisc):
+    """(disc, index) of an order (B, den) of a polynomial of disc pdisc."""
+    rows, den = order
+    n = len(rows)
+    covolume = _diagonal_product(rows)
+    disc, r = divmod(pdisc * covolume * covolume, den ** (2 * n))
+    if r:
+        raise ConsistencyError("order discriminant is not an integer")
+    index, r = divmod(den**n, covolume)
+    if r:
+        raise ConsistencyError("order does not contain Z[theta]")
+    return disc, index
 
 
 def signature_of_field(poly) -> tuple[int, int]:
@@ -365,22 +428,11 @@ def field_from_record(rec: FieldRecord, max_degree: int = DEGREE_CAP,
         basis = [[Fraction(x) for x in row] for row in rec.basis]
         if len(basis) != n or any(len(row) != n for row in basis):
             raise BadBasisError(f"basis must be {n}x{n}")
-        _validate_order(basis, poly)
+        order = _validate_order(basis, poly, pdisc)
     else:
-        basis = maximal_order(poly)
-    from .linalg import det as _det
-
-    d = _det(basis)
-    if d == 0:
-        raise BadBasisError("basis is singular")
-    disc_fr = Fraction(pdisc) * d * d
-    if disc_fr.denominator != 1:
-        raise BadBasisError("basis does not define an order over Z[theta]")
-    disc = int(disc_fr)
-    index_sq = Fraction(pdisc, disc)
-    index = isqrt(int(index_sq))
-    if index * index != index_sq:
-        raise ConsistencyError("poly disc / disc is not a perfect square")
+        order = _maximal_order(poly)
+        basis = _fraction_rows(order)
+    disc, index = _disc_and_index(order, pdisc)
     r, s = signature_of_field(poly)
     if (-1) ** s != (1 if disc > 0 else -1):
         raise ConsistencyError("discriminant sign does not match the signature")
@@ -405,29 +457,33 @@ def field_from_record(rec: FieldRecord, max_degree: int = DEGREE_CAP,
     )
 
 
-def _validate_order(basis, poly):
-    """Supplied basis must contain 1, be a ring, and be maximal."""
+def _validate_order(basis, poly, pdisc):
+    """(B, den) of a supplied basis, which must contain 1, be a ring, and
+    be maximal."""
     n = len(basis)
-    from .linalg import det as _det
-
-    if _det(basis) == 0:
+    den = 1
+    for row in basis:
+        for x in row:
+            den = den * x.denominator // gcd(den, x.denominator)
+    rows = hnf([[int(x * den) for x in row] for row in basis])
+    if len(rows) != n:
         raise BadBasisError("basis is singular")
-    inv = mat_inverse(basis)
-    one = [sum(Fraction(int(c == 0)) * inv[c][t] for c in range(n)) for t in range(n)]
-    if any(x.denominator != 1 for x in one):
+    order = _with_content_removed(rows, den)
+    if _solve_triangular(order[0], [order[1]] + [0] * (n - 1)) is None:
         raise BadBasisError("basis does not contain 1")
-    _mult_table(basis, poly)  # raises BadBasisError if not a ring
-    pdisc = discriminant(poly)
-    d = _det(basis)
-    order_disc = Fraction(pdisc) * d * d
-    if order_disc.denominator != 1:
+    red = _reduction_vectors(poly, 2 * n - 1)
+    _mult_table(order, red)  # raises BadBasisError if not a ring
+    covolume = _diagonal_product(order[0])
+    order_disc, r = divmod(pdisc * covolume * covolume, order[1] ** (2 * n))
+    if r:
         raise BadBasisError("basis is not an order")
-    for p, e in factorize(int(order_disc)).items():
+    for p, e in factorize(order_disc).items():
         if e < 2:
             continue
-        _, enlarged = _enlarge_at(basis, poly, p)
+        _, enlarged = _enlarge_at(order, red, p)
         if enlarged:
             raise BadBasisError(f"supplied basis is not maximal at {p}")
+    return order
 
 
 def power_sums(poly, count):

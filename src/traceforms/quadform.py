@@ -23,6 +23,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import (
+    ConsistencyError,
     FormRangeError,
     HypothesisError,
     LimitError,
@@ -624,7 +625,7 @@ def reduce_gram(gram: GramMatrix):
                     continue
                 candidates = {-1, 1, -2, 2}
                 if a[j][j] != 0:
-                    candidates.add(-round(a[i][j] / a[j][j]))
+                    candidates.add(-round(Fraction(a[i][j], a[j][j])))
                 for t in sorted(candidates):
                     if t == 0:
                         continue
@@ -758,8 +759,8 @@ def isometry_witness_search(g1: GramMatrix, g2: GramMatrix, bound: int):
         ]
         for i in range(n)
     ]
-    assert check == [list(r) for r in g2.entries]
-    assert abs(det_int(u)) == 1
+    if check != [list(r) for r in g2.entries] or abs(det_int(u)) != 1:
+        raise ConsistencyError("witness search returned a non-isometry")
     return u
 
 

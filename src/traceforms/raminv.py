@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import TamenessError
+from .errors import ConsistencyError, TamenessError
 from .numberfield import NumberFieldData, SplittingData, splitting_data
 from .padic import check_odd_prime, least_nonresidue, legendre_symbol, square_class
 from .quadform import DiagonalForm, model_form
@@ -40,7 +40,8 @@ def second_ramification_factor(split: SplittingData, n: int) -> Fraction:
     for e, f in split.pairs:
         out *= Fraction(e) ** (e - f)
     exponent = n - split.f_sum - split.e_sum + split.g
-    assert exponent >= 0
+    if exponent < 0:
+        raise ConsistencyError(f"negative unit exponent {exponent} at {split.p}")
     return out * u**exponent
 
 
@@ -79,8 +80,10 @@ def tame_diagonal_form(split: SplittingData) -> DiagonalForm:
     det = Fraction(1)
     for x in form.entries:
         det *= x
-    assert len(form.entries) == split.f_sum
-    assert square_class(det, p) == square_class(first_ramification_factor(split), p)
+    if len(form.entries) != split.f_sum:
+        raise ConsistencyError(f"block form at {p} does not have dimension f_p")
+    if square_class(det, p) != square_class(first_ramification_factor(split), p):
+        raise ConsistencyError(f"block form at {p} has the wrong determinant class")
     return form
 
 

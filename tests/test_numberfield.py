@@ -12,9 +12,12 @@ from traceforms.errors import (
 from traceforms.linalg import mat_mul, transpose
 from traceforms.numberfield import (
     FieldRecord,
+    _enlarge_at,
+    _reduction_vectors,
     dedekind_p_maximal,
     field_from_record,
     is_fundamental_discriminant,
+    maximal_order,
     power_sums,
     ramification_profile,
     signature_of_field,
@@ -75,7 +78,53 @@ def test_dedekind_example_index_two():
     assert fld.poly_disc == -2012
     assert fld.disc == -503
     assert fld.index == 2
+    assert [list(r) for r in fld.basis] == [
+        [1, 0, 0],
+        [0, Fraction(1, 2), Fraction(1, 2)],
+        [0, 0, 1],
+    ]
     assert trace_gram(fld).det == -503
+
+
+def test_integral_basis_needs_the_radical_step():
+    # x^3 - 40x + 8: poly disc 254272 = 2^6 * 3973, O_K = Z[1, theta/2, theta^2/4]
+    poly = [8, -40, 0, 1]
+    fld = make_field("r2", poly)
+    assert (fld.disc, fld.index) == (3973, 8)
+    assert [list(r) for r in fld.basis] == [
+        [1, 0, 0],
+        [0, Fraction(1, 2), 0],
+        [0, 0, Fraction(1, 4)],
+    ]
+    assert maximal_order(poly) == [list(r) for r in fld.basis]
+    # Dedekind's criterion gains only 2^1 of the 2^3; the radical step adds 2^2
+    red = _reduction_vectors(poly, 5)
+    dedekind_order = ([[2, 0, 0], [0, 2, 0], [0, 0, 1]], 2)  # Z[theta] + theta^2/2
+    maximal = ([[4, 0, 0], [0, 2, 0], [0, 0, 1]], 4)  # Z[1, theta/2, theta^2/4]
+    assert _enlarge_at(dedekind_order, red, 2) == (maximal, 2)
+    # the same maximal order, supplied in another basis, validates
+    rec = FieldRecord(
+        label="r2b",
+        poly=tuple(poly),
+        basis=((0, Fraction(1, 2), Fraction(1, 4)), (1, 0, 0), (1, Fraction(1, 2), 0)),
+    )
+    fld2 = field_from_record(rec)
+    assert (fld2.disc, fld2.index) == (3973, 8)
+
+
+def test_supplied_basis_rejections():
+    def supplied(poly, basis):
+        return field_from_record(FieldRecord(label="s", poly=poly, basis=basis))
+
+    half = Fraction(1, 2)
+    with pytest.raises(BadBasisError, match="not closed under multiplication"):
+        supplied((-5, 0, 1), ((1, 0), (0, half)))  # (theta/2)^2 = 5/4
+    with pytest.raises(BadBasisError, match="not maximal at 2"):
+        supplied((8, -40, 0, 1), ((1, 0, 0), (0, 1, 0), (0, 0, half)))
+    with pytest.raises(BadBasisError, match="singular"):
+        supplied((-5, 0, 1), ((1, 0), (2, 0)))
+    with pytest.raises(BadBasisError, match="does not contain 1"):
+        supplied((-5, 0, 1), ((2, 0), (0, 1)))
 
 
 def test_dedekind_criterion_direct():

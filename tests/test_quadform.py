@@ -320,3 +320,36 @@ def test_witness_search_random_transforms():
         found = isometry_witness_search(g, g2, 6)
         if found is not None:
             assert transformed(g, found).entries == g2.entries
+
+
+def test_witness_verification_survives_python_O():
+    # the exact re-verification must not be an assert that -O strips
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import traceforms
+
+    code = """
+import traceforms.quadform as qf
+from traceforms.errors import ConsistencyError
+if __debug__:
+    raise SystemExit(3)
+qf._witness_search_raw = lambda g1, g2, bound: [[1, 0], [0, 1]]
+g1 = qf.GramMatrix([[1, 0], [0, 6]])
+g2 = qf.GramMatrix([[2, 0], [0, 3]])
+try:
+    print(qf.isometry_witness_search(g1, g2, 2))
+except ConsistencyError:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+    src = str(Path(traceforms.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
