@@ -22,7 +22,8 @@ def transpose(m):
 
 def mat_mul(a, b):
     n, k, kb, c = len(a), len(a[0]), len(b), len(b[0])
-    assert k == kb
+    if k != kb:
+        raise ValueError(f"cannot multiply {n}x{k} by {kb}x{c}")
     out = [[0] * c for _ in range(n)]
     for i in range(n):
         ai = a[i]
@@ -38,28 +39,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def det(m) -> Fraction:
-    """Exact determinant via fraction Gaussian elimination."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            result = -result
-        result *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                factor = a[r][col] * inv
-                for c in range(col, n):
-                    a[r][c] -= factor * a[col][c]
-    return result
 
 
 def det_int(m) -> int:

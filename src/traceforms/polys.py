@@ -475,7 +475,8 @@ def factor_monic_int(f):
     f = pnormalize(f)
     if pdeg(f) < 1:
         return []
-    assert f[-1] == 1, "factor_monic_int requires a monic polynomial"
+    if f[-1] != 1:
+        raise ValueError("factor_monic_int requires a monic polynomial")
     out: dict[tuple, int] = {}
     # strip powers of x
     k = 0

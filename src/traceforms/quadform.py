@@ -501,8 +501,11 @@ def local_symbol_odd(gram: GramMatrix, p: int):
 def genus_symbol(gram: GramMatrix) -> GenusSymbol:
     """Complete genus invariant: equal symbols iff equivalent over R and
     every Z_p."""
+    return _genus_symbol(gram, signature(gram))
+
+
+def _genus_symbol(gram: GramMatrix, sig: tuple[int, int]) -> GenusSymbol:
     d = gram.det
-    sig = signature(gram)
     locs = [(2, tuple(canonical_two_adic_symbol(gram)))]
     for p in factorize(d):
         if p != 2:
@@ -514,9 +517,10 @@ def genus_symbol(gram: GramMatrix) -> GenusSymbol:
 def genus_equal(g1: GramMatrix, g2: GramMatrix) -> bool:
     if g1.n != g2.n or g1.det != g2.det:
         return False
-    if signature(g1) != signature(g2):
+    sig1, sig2 = signature(g1), signature(g2)
+    if sig1 != sig2:
         return False
-    return genus_symbol(g1) == genus_symbol(g2)
+    return _genus_symbol(g1, sig1) == _genus_symbol(g2, sig2)
 
 
 # ---------------------------------------------------------------------------
@@ -646,20 +650,47 @@ def reduce_gram(gram: GramMatrix):
     return GramMatrix(a), [list(col) for col in zip(*u)]
 
 
+def _congruent(u, g: GramMatrix, h: GramMatrix) -> bool:
+    """Exact test of U^T G U == H."""
+    n, a = g.n, g.entries
+    return all(
+        sum(u[k][i] * a[k][l] * u[l][j] for k in range(n) for l in range(n))
+        == h.entries[i][j]
+        for i in range(n)
+        for j in range(n)
+    )
+
+
 def _meet_in_the_middle(g1: GramMatrix, g2: GramMatrix, budget: int):
     """Witness via a common small congruence image of both forms, or None.
 
-    Both forms walk cheapest-first through elementary congruence moves,
-    strictly alternating sides, and stop at the first state reached from
-    both walks, which composes to a witness.  `budget` caps the states
-    expanded per side.  States and transforms are kept as flat tuples: this
-    loop dominates the hard-pair search cost.
+    Both forms walk cheapest-first through the elementary congruence moves
+    (i, j, t), i != j and t in (-1, 1), listed in that order: row i += t *
+    row j, then column i += t * column j.  The walks strictly alternate
+    sides and stop at the first state reached from both, which composes to
+    a witness.  `budget` caps the states expanded per side.
+
+    This loop dominates the hard-pair search cost, so states are kept
+    small.  A state is the upper triangle of its Gram matrix, row by row
+    (n(n+1)/2 entries), and its heap key is the full matrix's sum of
+    squares (diagonal squares plus twice the off-diagonal ones).  For
+    symmetric matrices lexicographic order on the row-major upper triangle
+    is the same as on the full row-major matrix, so states pop in the same
+    order as full matrices would.  A move changes only row and column i:
+    a_ic += t a_jc for c != i and a_ii += 2t a_ij + a_jj, so new entries
+    and scores come from precomputed index pairs.  `seen` maps a state to
+    the index of the move that first reached it (-1 for a start), and
+    move k ^ 1 undoes move k.  At the collision both sides are walked back
+    to their starts: side A's moves replayed on the identity give U1, and
+    side B's undo moves applied after them give U1 * U2^-1 exactly.
     """
     from heapq import heappop, heappush
 
-    from .linalg import mat_inverse, mat_mul
-
     n = g1.n
+    tri = [(r, c) for r in range(n) for c in range(r, n)]
+    pos = {}
+    for k, (r, c) in enumerate(tri):
+        pos[r, c] = pos[c, r] = k
     moves = [
         (i, j, t)
         for i in range(n)
@@ -667,51 +698,73 @@ def _meet_in_the_middle(g1: GramMatrix, g2: GramMatrix, budget: int):
         if i != j
         for t in (-1, 1)
     ]
-    ident = tuple(int(i == j) for i in range(n) for j in range(n))
+    steps = [
+        (t, [(pos[i, c], pos[j, c]) for c in range(n) if c != i],
+         pos[i, i], pos[i, j], pos[j, j])
+        for i, j, t in moves
+    ]
 
-    def flat(g):
-        return tuple(x for row in g.entries for x in row)
+    def step(state, k):
+        t, row, ii, ij, jj = steps[k]
+        new = list(state)
+        for d, s in row:
+            new[d] += t * state[s]
+        new[ii] += 2 * t * state[ij] + state[jj]
+        return tuple(new)
 
-    startA, startB = flat(g1), flat(g2)
-    seenA = {startA: ident}
-    seenB = {startB: ident}
-    heapA = [(sum(x * x for x in startA), startA)]
-    heapB = [(sum(x * x for x in startB), startB)]
+    def walk_back(seen, state):
+        """Indices of the moves from the start to `state`, last first."""
+        path = []
+        while (k := seen[state]) >= 0:
+            path.append(k)
+            state = step(state, k ^ 1)
+        return path
+
+    startA = tuple(g1.entries[r][c] for r, c in tri)
+    startB = tuple(g2.entries[r][c] for r, c in tri)
+    seenA = {startA: -1}
+    seenB = {startB: -1}
+    heapA = [(sum(x * x for row in g1.entries for x in row), startA)]
+    heapB = [(sum(x * x for row in g2.entries for x in row), startB)]
     collision = startA if startA in seenB else None
     pops = 0
-    rng_n = range(n)
     while collision is None and pops < budget and (heapA or heapB):
         pops += 1
         for seen, heap, other in ((seenA, heapA, seenB), (seenB, heapB, seenA)):
             if collision is not None or not heap:
                 continue
-            _, state = heappop(heap)
-            u = seen[state]
-            for i, j, t in moves:
+            score, state = heappop(heap)
+            # step(state, k) inlined, updating the score by the change in
+            # the entries it touches
+            for k, (t, row, ii, ij, jj) in enumerate(steps):
                 new = list(state)
-                jn = j * n
-                base = i * n
-                for c in rng_n:
-                    new[base + c] += t * state[jn + c]
-                for r in rng_n:
-                    new[r * n + i] += t * new[r * n + j]
+                gain = 0
+                for d, s in row:
+                    old = state[d]
+                    x = old + t * state[s]
+                    new[d] = x
+                    gain += x * x - old * old
+                old = state[ii]
+                x = old + 2 * t * state[ij] + state[jj]
+                new[ii] = x
                 key = tuple(new)
                 if key in seen:
                     continue
-                nu = list(u)
-                for r in rng_n:
-                    nu[r * n + i] += t * nu[r * n + j]
-                seen[key] = tuple(nu)
-                heappush(heap, (sum(x * x for x in key), key))
+                seen[key] = k
+                heappush(heap, (score + 2 * gain + x * x - old * old, key))
                 if key in other:
                     collision = key
                     break
     if collision is None:
         return None
-    u1 = [list(seenA[collision][r * n : r * n + n]) for r in rng_n]
-    u2 = [list(seenB[collision][r * n : r * n + n]) for r in rng_n]
-    u2_inv = [[int(x) for x in row] for row in mat_inverse(u2)]
-    return mat_mul(u1, u2_inv)
+    u = [[int(r == c) for c in range(n)] for r in range(n)]
+    path = walk_back(seenA, collision)[::-1]
+    path += [k ^ 1 for k in walk_back(seenB, collision)]
+    for k in path:
+        i, j, t = moves[k]
+        for row in u:
+            row[i] += t * row[j]
+    return u
 
 
 def isometry_witness_search(g1: GramMatrix, g2: GramMatrix, bound: int):
@@ -739,27 +792,13 @@ def isometry_witness_search(g1: GramMatrix, g2: GramMatrix, bound: int):
     red1, u1 = reduce_gram(g1)
     red2, u2 = reduce_gram(g2)
     inner = _witness_search_raw(red1, red2, bound)
-    if inner is not None:
-        u2_inv = [[int(x) for x in row] for row in mat_inverse(u2)]
-        u = mat_mul(mat_mul(u1, inner), u2_inv)
-    else:
-        u = _meet_in_the_middle(red1, red2, 2000 * bound)
-        if u is None:
+    if inner is None:
+        inner = _meet_in_the_middle(red1, red2, 2000 * bound)
+        if inner is None:
             return None
-        u2_inv = [[int(x) for x in row] for row in mat_inverse(u2)]
-        u = mat_mul(mat_mul(u1, u), u2_inv)
-    check = [
-        [
-            sum(
-                u[k][i] * g1.entries[k][l] * u[l][j]
-                for k in range(n)
-                for l in range(n)
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    if check != [list(r) for r in g2.entries] or abs(det_int(u)) != 1:
+    u2_inv = [[int(x) for x in row] for row in mat_inverse(u2)]
+    u = mat_mul(mat_mul(u1, inner), u2_inv)
+    if not _congruent(u, g1, g2) or abs(det_int(u)) != 1:
         raise ConsistencyError("witness search returned a non-isometry")
     return u
 
@@ -865,18 +904,6 @@ def pairwise_witnesses(grams, bound: int):
     k = len(grams)
     known: dict = {}
 
-    def verified(i, j, u):
-        n = grams[i].n
-        a, b = grams[i].entries, grams[j].entries
-        check = [
-            [
-                sum(u[r][x] * a[r][s] * u[s][y] for r in range(n) for s in range(n))
-                for y in range(n)
-            ]
-            for x in range(n)
-        ]
-        return check == [list(row) for row in b]
-
     def compose(i, j):
         prev = {i: None}
         queue = deque([i])
@@ -903,7 +930,7 @@ def pairwise_witnesses(grams, bound: int):
             if (x, y) != edge:
                 w = [[int(v) for v in row] for row in mat_inverse(w)]
             u = mat_mul(u, w)
-        if verified(i, j, u) and abs(det_int(u)) == 1:
+        if _congruent(u, grams[i], grams[j]) and abs(det_int(u)) == 1:
             return u
         return None
 
@@ -977,16 +1004,7 @@ def _witness_search_raw(g1: GramMatrix, g2: GramMatrix, bound: int):
         for spot, col in enumerate(cols):
             for i in range(n):
                 u[i][perm[spot]] = col[0][i]
-        check = [
-            [
-                sum(u[k][i] * a[k][l] * u[l][j] for k in range(n) for l in range(n))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        if check != [list(r) for r in g2.entries]:
-            continue
-        if abs(det_int(u)) != 1:
+        if not _congruent(u, g1, g2) or abs(det_int(u)) != 1:
             continue
         return u
     return None

@@ -1,8 +1,8 @@
 import random
 from fractions import Fraction
 
+from _optimized import run_optimized
 from traceforms.linalg import (
-    det,
     det_int,
     fp_left_kernel,
     fp_nullspace,
@@ -14,12 +14,45 @@ from traceforms.linalg import (
 )
 
 
+def det_by_elimination(m) -> Fraction:
+    """Reference determinant by Fraction Gaussian elimination."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    result = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            result = -result
+        result *= a[col][col]
+        for r in range(col + 1, n):
+            factor = a[r][col] / a[col][col]
+            for c in range(col, n):
+                a[r][c] -= factor * a[col][c]
+    return result
+
+
 def test_det_agreement():
     rng = random.Random(3)
     for _ in range(100):
         n = rng.randint(1, 5)
         m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert det(m) == det_int(m)
+        assert det_by_elimination(m) == det_int(m)
+
+
+def test_mat_mul_shape_check_survives_python_O():
+    # a 1x2 times a 3x1 used to come back as [[5]] under -O
+    proc = run_optimized("""
+from traceforms.linalg import mat_mul
+try:
+    print(mat_mul([[1, 2]], [[1], [2], [3]]))
+except ValueError:
+    raise SystemExit(0)
+raise SystemExit(1)
+""")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_inverse():

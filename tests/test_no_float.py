@@ -1,4 +1,5 @@
-"""The package promises exact arithmetic: no float anywhere in its source."""
+"""The package promises exact arithmetic: no float anywhere in its source,
+and no check written as an `assert`, which `python -O` strips."""
 
 import ast
 from pathlib import Path
@@ -37,5 +38,27 @@ def test_package_source_has_no_floats():
         f"{path.name}:{line}: {what}"
         for path in modules
         for line, what in float_uses(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
+def assert_statements(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            yield node.lineno
+
+
+def test_assert_statements_are_detected():
+    source = "def f(x):\n    assert x, 'x'\n    return x\nassert f(1)\n"
+    assert sorted(assert_statements(ast.parse(source))) == [2, 4]
+
+
+def test_package_source_has_no_asserts():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = [
+        f"{path.name}:{line}"
+        for path in modules
+        for line in assert_statements(ast.parse(path.read_text()))
     ]
     assert found == []

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from _optimized import run_optimized
 from traceforms.errors import RepeatedRootError
 from traceforms.polys import (
     discriminant,
@@ -128,6 +129,19 @@ def test_factor_monic_int_known():
     assert fac == [[[-3, 0, 1], 1], [[-2, 0, 1], 1]]
     fac2 = factor_monic_int([0, 0, 1, 1])  # x^2 (x+1)
     assert fac2 == [[[0, 1], 2], [[1, 1], 1]]
+
+
+def test_factor_monic_int_monic_check_survives_python_O():
+    # 2x^2 + 1 used to come back as a "monic" factor of itself under -O
+    proc = run_optimized("""
+from traceforms.polys import factor_monic_int
+try:
+    print(factor_monic_int([1, 0, 2]))
+except ValueError:
+    raise SystemExit(0)
+raise SystemExit(1)
+""")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_resultant_in_t():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from _optimized import run_optimized
 from traceforms.errors import HypothesisError, SingularFormError
 from traceforms.linalg import det_int, mat_mul, transpose
 from traceforms.padic import hilbert_symbol, least_nonresidue, legendre_symbol, val_unit
@@ -17,6 +18,7 @@ from traceforms.quadform import (
     genus_symbol,
     hasse_witt,
     hasse_witt_gram,
+    _meet_in_the_middle,
     isometry_witness_search,
     jordan_two_adic,
     local_symbol_odd,
@@ -322,19 +324,55 @@ def test_witness_search_random_transforms():
             assert transformed(g, found).entries == g2.entries
 
 
+def test_meet_in_the_middle_witnesses_are_pinned():
+    # the box search misses both pairs, so these come from the
+    # meet-in-the-middle fallback (budgets 4000 and 16000)
+    # disc -1228: x^3 + 4x + 6 and x^3 + 6x + 182
+    g1 = GramMatrix([[3, 0, -8], [0, -8, -18], [-8, -18, 32]])
+    g2 = GramMatrix([[-53, -146, -6], [-146, -212, -134], [-6, -134, 72]])
+    assert isometry_witness_search(g1, g2, 2) == [
+        [1035, 1910, 742], [224, 416, 159], [630, 1167, 449]
+    ]
+    # disc -8972: x^3 - 16x + 44 and x^3 + 20x + 12
+    g1 = GramMatrix([[3, 0, 16], [0, 32, -66], [16, -66, 128]])
+    g2 = GramMatrix([[3, 0, -20], [0, -40, -18], [-20, -18, 200]])
+    assert isometry_witness_search(g1, g2, 2) is None
+    assert isometry_witness_search(g1, g2, 8) == [
+        [3971, 16544, -8138],
+        [109646, 456794, -224749],
+        [44441, 185145, -91093],
+    ]
+
+
+@pytest.mark.parametrize("entries, moves", [
+    ([[2, 1], [1, -3]], [(0, 1, 2), (1, 0, -1), (0, 1, 1)]),
+    ([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, -2]],
+     [(0, 1, 1), (2, 3, -1), (3, 0, 2), (1, 2, 1)]),
+    ([[4, 1, 0, 1], [1, -2, 1, 0], [0, 1, 6, 1], [1, 0, 1, 2]],
+     [(0, 3, 2), (3, 1, -1), (2, 0, 1)]),
+])
+def test_meet_in_the_middle_outside_dimension_three(entries, moves):
+    # the image of a form under column moves col_i += t col_j
+    n = len(entries)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, t in moves:
+        for row in u:
+            row[i] += t * row[j]
+    g = GramMatrix(entries)
+    h = transformed(g, u)
+    assert h.entries != g.entries
+    for budget in (10, 1000):
+        w = _meet_in_the_middle(g, h, budget)
+        assert w is not None
+        assert transformed(g, w).entries == h.entries
+        assert abs(det_int(w)) == 1
+
+
 def test_witness_verification_survives_python_O():
     # the exact re-verification must not be an assert that -O strips
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import traceforms
-
-    code = """
+    proc = run_optimized("""
 import traceforms.quadform as qf
 from traceforms.errors import ConsistencyError
-if __debug__:
-    raise SystemExit(3)
 qf._witness_search_raw = lambda g1, g2, bound: [[1, 0], [0, 1]]
 g1 = qf.GramMatrix([[1, 0], [0, 6]])
 g2 = qf.GramMatrix([[2, 0], [0, 3]])
@@ -343,13 +381,5 @@ try:
 except ConsistencyError:
     raise SystemExit(0)
 raise SystemExit(1)
-"""
-    src = str(Path(traceforms.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        env={"PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+""")
     assert proc.returncode == 0, proc.stdout + proc.stderr
