@@ -44,11 +44,11 @@ from .numberfield import (
 )
 from .padic import legendre_symbol
 from .quadform import (
+    _witness_search,
     canonical_two_adic_symbol,
     diagonal_local_symbol_odd,
     genus_equal,
     genus_symbol,
-    isometry_witness_search,
     local_symbol_odd,
     pairwise_witnesses,
     signature,
@@ -272,11 +272,7 @@ def cmd_compare(records, label_a, label_b, oracle=False, witness_bound=None,
                 out,
             )
         if witness_bound:
-            witness = None
-            for bound in range(1, witness_bound + 1):
-                witness = isometry_witness_search(ga, gb, bound)
-                if witness is not None:
-                    break
+            witness = _witness_search(ga, gb, range(1, witness_bound + 1))
             _emit(
                 {
                     "type": "witness",

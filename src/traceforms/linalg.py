@@ -1,4 +1,4 @@
-"""Small exact linear algebra over the rationals, the integers, and F_p.
+"""Small exact linear algebra over the integers and F_p.
 
 Matrices are lists of row lists.  Everything is pure and allocates fresh
 results; sizes here never exceed a few dozen rows, so clarity wins over
@@ -6,10 +6,6 @@ asymptotics.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-
-from .errors import SingularFormError
 
 
 def identity(n: int) -> list[list[int]]:
@@ -37,10 +33,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
 def det_int(m) -> int:
     """Bareiss fraction-free determinant of an integer matrix."""
     n = len(m)
@@ -62,23 +54,27 @@ def det_int(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def mat_inverse(m):
-    """Exact inverse over the rationals; raises on singular input."""
+def unimodular_inverse(m):
+    """Exact integer inverse of a matrix with determinant +-1, as det * adj(m).
+
+    Raises ValueError when |det| != 1, where the inverse is not integral.
+    """
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise SingularFormError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    d = det_int(m)
+    if abs(d) != 1:
+        raise ValueError(f"matrix has determinant {d}, not +-1")
+    if n == 1:
+        return [[d]]
+    # entry (i, j) of the adjugate is the (j, i) cofactor
+    return [
+        [
+            d * (-1) ** (i + j) * det_int(
+                [row[:i] + row[i + 1:] for r, row in enumerate(m) if r != j]
+            )
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
 
 
 def hnf(rows):

@@ -30,7 +30,7 @@ from .errors import (
     SingularFormError,
     ZeroArgumentError,
 )
-from .linalg import det_int
+from .linalg import det_int, mat_mul, unimodular_inverse
 from .padic import (
     Rational,
     SquareClass,
@@ -661,14 +661,18 @@ def _congruent(u, g: GramMatrix, h: GramMatrix) -> bool:
     )
 
 
-def _meet_in_the_middle(g1: GramMatrix, g2: GramMatrix, budget: int):
-    """Witness via a common small congruence image of both forms, or None.
+class _MeetInTheMiddle:
+    """Resumable witness walk via a common small congruence image of two forms.
 
     Both forms walk cheapest-first through the elementary congruence moves
     (i, j, t), i != j and t in (-1, 1), listed in that order: row i += t *
     row j, then column i += t * column j.  The walks strictly alternate
     sides and stop at the first state reached from both, which composes to
-    a witness.  `budget` caps the states expanded per side.
+    a witness.  `advance(budget)` expands states until `budget` pops per
+    side in total and returns the witness or None.  The walk keeps its heaps
+    and `seen` maps between calls, so advancing to budget b1 and then b2
+    pops exactly the states that one walk to b2 pops and returns the same
+    result.
 
     This loop dominates the hard-pair search cost, so states are kept
     small.  A state is the upper triangle of its Gram matrix, row by row
@@ -680,91 +684,116 @@ def _meet_in_the_middle(g1: GramMatrix, g2: GramMatrix, budget: int):
     a_ic += t a_jc for c != i and a_ii += 2t a_ij + a_jj, so new entries
     and scores come from precomputed index pairs.  `seen` maps a state to
     the index of the move that first reached it (-1 for a start), and
-    move k ^ 1 undoes move k.  At the collision both sides are walked back
-    to their starts: side A's moves replayed on the identity give U1, and
-    side B's undo moves applied after them give U1 * U2^-1 exactly.
+    move k ^ 1 undoes move k, so a popped state skips the undo of the move
+    that reached it: that child is its parent, already seen.  At the
+    collision both sides are walked back to their starts: side A's moves
+    replayed on the identity give U1, and side B's undo moves applied after
+    them give U1 * U2^-1 exactly.
     """
-    from heapq import heappop, heappush
 
-    n = g1.n
-    tri = [(r, c) for r in range(n) for c in range(r, n)]
-    pos = {}
-    for k, (r, c) in enumerate(tri):
-        pos[r, c] = pos[c, r] = k
-    moves = [
-        (i, j, t)
-        for i in range(n)
-        for j in range(n)
-        if i != j
-        for t in (-1, 1)
-    ]
-    steps = [
-        (t, [(pos[i, c], pos[j, c]) for c in range(n) if c != i],
-         pos[i, i], pos[i, j], pos[j, j])
-        for i, j, t in moves
-    ]
+    def __init__(self, g1: GramMatrix, g2: GramMatrix):
+        n = g1.n
+        tri = [(r, c) for r in range(n) for c in range(r, n)]
+        pos = {}
+        for k, (r, c) in enumerate(tri):
+            pos[r, c] = pos[c, r] = k
+        self.n = n
+        self.moves = [
+            (i, j, t)
+            for i in range(n)
+            for j in range(n)
+            if i != j
+            for t in (-1, 1)
+        ]
+        self.steps = steps = [
+            (k, t, [(pos[i, c], pos[j, c]) for c in range(n) if c != i],
+             pos[i, i], pos[i, j], pos[j, j])
+            for k, (i, j, t) in enumerate(self.moves)
+        ]
+        # the moves to try from a state reached by move m, indexed by m;
+        # the last entry (index -1, a start) keeps them all
+        self.children = [
+            [s for s in steps if s[0] != m ^ 1] for m in range(len(steps))
+        ] + [steps]
+        startA = tuple(g1.entries[r][c] for r, c in tri)
+        startB = tuple(g2.entries[r][c] for r, c in tri)
+        self.seen = ({startA: -1}, {startB: -1})
+        self.heaps = (
+            [(sum(x * x for row in g1.entries for x in row), startA)],
+            [(sum(x * x for row in g2.entries for x in row), startB)],
+        )
+        self.collision = startA if startA in self.seen[1] else None
+        self.pops = 0
 
-    def step(state, k):
-        t, row, ii, ij, jj = steps[k]
+    def step(self, state, k):
+        _, t, row, ii, ij, jj = self.steps[k]
         new = list(state)
         for d, s in row:
             new[d] += t * state[s]
         new[ii] += 2 * t * state[ij] + state[jj]
         return tuple(new)
 
-    def walk_back(seen, state):
+    def walk_back(self, seen, state):
         """Indices of the moves from the start to `state`, last first."""
         path = []
         while (k := seen[state]) >= 0:
             path.append(k)
-            state = step(state, k ^ 1)
+            state = self.step(state, k ^ 1)
         return path
 
-    startA = tuple(g1.entries[r][c] for r, c in tri)
-    startB = tuple(g2.entries[r][c] for r, c in tri)
-    seenA = {startA: -1}
-    seenB = {startB: -1}
-    heapA = [(sum(x * x for row in g1.entries for x in row), startA)]
-    heapB = [(sum(x * x for row in g2.entries for x in row), startB)]
-    collision = startA if startA in seenB else None
-    pops = 0
-    while collision is None and pops < budget and (heapA or heapB):
-        pops += 1
-        for seen, heap, other in ((seenA, heapA, seenB), (seenB, heapB, seenA)):
-            if collision is not None or not heap:
-                continue
-            score, state = heappop(heap)
-            # step(state, k) inlined, updating the score by the change in
-            # the entries it touches
-            for k, (t, row, ii, ij, jj) in enumerate(steps):
-                new = list(state)
-                gain = 0
-                for d, s in row:
-                    old = state[d]
-                    x = old + t * state[s]
-                    new[d] = x
-                    gain += x * x - old * old
-                old = state[ii]
-                x = old + 2 * t * state[ij] + state[jj]
-                new[ii] = x
-                key = tuple(new)
-                if key in seen:
+    def advance(self, budget: int):
+        """Continue to `budget` pops per side; the witness or None."""
+        from heapq import heappop, heappush
+
+        seenA, seenB = self.seen
+        heapA, heapB = self.heaps
+        sides = ((seenA, heapA, seenB), (seenB, heapB, seenA))
+        children = self.children
+        collision, pops = self.collision, self.pops
+        while collision is None and pops < budget and (heapA or heapB):
+            pops += 1
+            for seen, heap, other in sides:
+                if collision is not None or not heap:
                     continue
-                seen[key] = k
-                heappush(heap, (score + 2 * gain + x * x - old * old, key))
-                if key in other:
-                    collision = key
-                    break
-    if collision is None:
-        return None
-    u = [[int(r == c) for c in range(n)] for r in range(n)]
-    path = walk_back(seenA, collision)[::-1]
-    path += [k ^ 1 for k in walk_back(seenB, collision)]
-    for k in path:
-        i, j, t = moves[k]
-        for row in u:
-            row[i] += t * row[j]
-    return u
+                score, state = heappop(heap)
+                # step(state, k) inlined, updating the score by the change
+                # in the entries it touches
+                for k, t, row, ii, ij, jj in children[seen[state]]:
+                    new = list(state)
+                    gain = 0
+                    for d, s in row:
+                        old = state[d]
+                        x = old + t * state[s]
+                        new[d] = x
+                        gain += x * x - old * old
+                    old = state[ii]
+                    x = old + 2 * t * state[ij] + state[jj]
+                    new[ii] = x
+                    key = tuple(new)
+                    if key in seen:
+                        continue
+                    seen[key] = k
+                    heappush(heap, (score + 2 * gain + x * x - old * old, key))
+                    if key in other:
+                        collision = key
+                        break
+        self.collision, self.pops = collision, pops
+        if collision is None:
+            return None
+        n = self.n
+        u = [[int(r == c) for c in range(n)] for r in range(n)]
+        path = self.walk_back(seenA, collision)[::-1]
+        path += [k ^ 1 for k in self.walk_back(seenB, collision)]
+        for k in path:
+            i, j, t = self.moves[k]
+            for row in u:
+                row[i] += t * row[j]
+        return u
+
+
+def _meet_in_the_middle(g1: GramMatrix, g2: GramMatrix, budget: int):
+    """Witness from a fresh walk of `budget` pops per side, or None."""
+    return _MeetInTheMiddle(g1, g2).advance(budget)
 
 
 def isometry_witness_search(g1: GramMatrix, g2: GramMatrix, bound: int):
@@ -774,33 +803,52 @@ def isometry_witness_search(g1: GramMatrix, g2: GramMatrix, bound: int):
     [-bound, bound] in reduced coordinates (the last column is solved
     exactly from the linear constraints plus the quadratic one), and fall
     back to a meet-in-the-middle walk through small congruence images with
-    budget proportional to the bound.  Every returned witness is mapped
-    back to the original bases and re-verified exactly; None never
-    certifies non-isometry.
+    budget 2000 * bound.  Forms of different determinant or signature are
+    screened out before any search.  Every returned witness is mapped back
+    to the original bases and re-verified exactly; None never certifies
+    non-isometry.
+    """
+    return _witness_search(g1, g2, (bound,))
+
+
+def _witness_search(g1: GramMatrix, g2: GramMatrix, bounds):
+    """The first witness over a schedule of bounds, or None.
+
+    Each form is reduced once and one meet-in-the-middle walk serves the
+    whole schedule: at each bound the box search runs, then the walk is
+    advanced to 2000 * bound pops.  A walk that failed at budget b made no
+    collision in its first b pops, so resuming it returns what a fresh walk
+    at the larger budget returns, and the result equals that of searching
+    at each bound in turn with a fresh walk.  Each bound is checked
+    (positive, then within the search-space limit) before the screens run
+    at it.
     """
     if g1.n != g2.n:
         raise HypothesisError("witness search needs equal dimensions")
-    if bound < 1:
-        raise FormRangeError("bound must be positive")
     n = g1.n
-    if (2 * bound + 1) ** n > 5_000_000:
-        raise LimitError("witness search space too large")
-    if g1.det != g2.det:
-        return None
-    from .linalg import mat_inverse, mat_mul
-
-    red1, u1 = reduce_gram(g1)
-    red2, u2 = reduce_gram(g2)
-    inner = _witness_search_raw(red1, red2, bound)
-    if inner is None:
-        inner = _meet_in_the_middle(red1, red2, 2000 * bound)
+    walk = None
+    for bound in bounds:
+        if bound < 1:
+            raise FormRangeError("bound must be positive")
+        if (2 * bound + 1) ** n > 5_000_000:
+            raise LimitError("witness search space too large")
+        if walk is None:
+            # no isometry exists across determinants or signatures
+            if g1.det != g2.det or signature(g1) != signature(g2):
+                continue
+            red1, u1 = reduce_gram(g1)
+            red2, u2 = reduce_gram(g2)
+            walk = _MeetInTheMiddle(red1, red2)
+        inner = _witness_search_raw(red1, red2, bound)
         if inner is None:
-            return None
-    u2_inv = [[int(x) for x in row] for row in mat_inverse(u2)]
-    u = mat_mul(mat_mul(u1, inner), u2_inv)
-    if not _congruent(u, g1, g2) or abs(det_int(u)) != 1:
-        raise ConsistencyError("witness search returned a non-isometry")
-    return u
+            inner = walk.advance(2000 * bound)
+            if inner is None:
+                continue
+        u = mat_mul(mat_mul(u1, inner), unimodular_inverse(u2))
+        if not _congruent(u, g1, g2) or abs(det_int(u)) != 1:
+            raise ConsistencyError("witness search returned a non-isometry")
+        return u
+    return None
 
 
 def _solve_last_column(a, cols, targets, last_target, n):
@@ -895,11 +943,12 @@ def pairwise_witnesses(grams, bound: int):
     Returns {(i, j): U or None} for i < j.  Found witnesses are composed
     transitively (and inverted) before any direct search runs, so a
     spanning tree of direct hits covers the whole family; every returned
-    matrix is re-verified exactly.
+    matrix is re-verified exactly.  A direct search runs the schedule
+    (2, bound): the box search and the meet-in-the-middle walk at bound 2,
+    then the box search at `bound` and the same walk resumed to 2000 *
+    bound pops, with both forms reduced once.
     """
     from collections import deque
-
-    from .linalg import mat_inverse, mat_mul
 
     k = len(grams)
     known: dict = {}
@@ -928,7 +977,7 @@ def pairwise_witnesses(grams, bound: int):
         for x, y, edge in path:
             w = known[edge]
             if (x, y) != edge:
-                w = [[int(v) for v in row] for row in mat_inverse(w)]
+                w = unimodular_inverse(w)
             u = mat_mul(u, w)
         if _congruent(u, grams[i], grams[j]) and abs(det_int(u)) == 1:
             return u
@@ -939,10 +988,7 @@ def pairwise_witnesses(grams, bound: int):
         for j in range(i + 1, k):
             u = compose(i, j)
             if u is None:
-                for b in (2, bound):
-                    u = isometry_witness_search(grams[i], grams[j], b)
-                    if u is not None:
-                        break
+                u = _witness_search(grams[i], grams[j], (2, bound))
             if u is not None:
                 known[(i, j)] = u
             out[(i, j)] = u

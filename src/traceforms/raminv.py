@@ -117,21 +117,6 @@ def ramification_factors(split: SplittingData, n: int) -> RamificationFactors:
     )
 
 
-def infinity_factors(sig: tuple[int, int], n: int) -> RamificationFactors:
-    r, s = sig
-    val = infinity_factor(s)
-    return RamificationFactors(
-        spot=-1,
-        first=val,
-        second=Fraction(val),
-        nonresidue_count=None,
-        g=r + s,
-        e_sum=r + 2 * s,
-        f_sum=r + s,
-        degree=n,
-    )
-
-
 def trace_model_from_splitting(split: SplittingData, n: int, disc: int) -> DiagonalForm:
     """Model of the local integral trace at a tame odd p.
 

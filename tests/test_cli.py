@@ -1,8 +1,13 @@
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import traceforms
 
 from traceforms.cli import (
     EXIT_INVARIANT,
@@ -119,6 +124,18 @@ def test_compare_cubic_pair(tmp_path):
     assert oracle["genus_equal"] is True
     witness = next(l for l in lines if l["type"] == "witness")
     assert witness["matrix"] is not None
+
+
+def test_compare_prints_the_corpus_witness():
+    # the first hit of the bound schedule 1..8 for x^3 + 6 and x^3 + 12
+    code, lines = run_lines(
+        cmd_compare, ingest(DATA), "c972a", "c972b", witness_bound=8
+    )
+    assert code == EXIT_OK
+    assert lines[-1] == {
+        "type": "witness", "a": "c972a", "b": "c972b", "bound": 8,
+        "matrix": [[-1, 0, -6], [-1, -1, -3], [0, 0, -1]],
+    }
 
 
 def test_compare_disc_mismatch(tmp_path):
@@ -266,3 +283,16 @@ def test_main_smoke_compare(tmp_path, capsys):
     captured = capsys.readouterr()
     lines = [json.loads(l) for l in captured.out.splitlines()]
     assert any(l["type"] == "oracle" for l in lines)
+
+
+def test_python_m_traceforms_runs_the_cli(tmp_path):
+    path = write_records(tmp_path, [{"label": "a", "poly": [-1, -1, 0, 1]}])
+    src = str(Path(traceforms.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "traceforms", "invariants", path],
+        env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    expected = io.StringIO()
+    cmd_invariants(ingest(path), out=expected)
+    assert proc.stdout == expected.getvalue()

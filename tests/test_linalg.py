@@ -1,16 +1,19 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from _optimized import run_optimized
+from traceforms.errors import SingularFormError
 from traceforms.linalg import (
     det_int,
     fp_left_kernel,
     fp_nullspace,
     hnf,
     identity,
-    mat_inverse,
     mat_mul,
     transpose,
+    unimodular_inverse,
 )
 
 
@@ -55,6 +58,25 @@ raise SystemExit(1)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def mat_inverse(m):
+    """Reference inverse by Fraction Gauss-Jordan elimination."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            raise SingularFormError("matrix is singular")
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
 def test_inverse():
     rng = random.Random(5)
     for _ in range(50):
@@ -65,6 +87,38 @@ def test_inverse():
         inv = mat_inverse(m)
         prod = mat_mul(m, inv)
         assert prod == identity(n)
+
+
+def random_unimodular(rng, n):
+    """A product of random elementary moves and sign flips."""
+    u = identity(n)
+    for _ in range(rng.randint(0, 12)):
+        i, j = rng.sample(range(n), 2)
+        t = rng.choice([-3, -2, -1, 1, 2, 3])
+        for row in u:
+            row[i] += t * row[j]
+    for i in rng.sample(range(n), rng.randint(0, n)):
+        for row in u:
+            row[i] = -row[i]
+    return u
+
+
+def test_unimodular_inverse_agrees_with_reference():
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(2, 4)
+        u = random_unimodular(rng, n)
+        inv = unimodular_inverse(u)
+        assert inv == mat_inverse(u)
+        assert mat_mul(u, inv) == identity(n)
+    assert unimodular_inverse([[-1]]) == [[-1]]
+
+
+@pytest.mark.parametrize("m", [[[2]], [[2, 1], [1, 2]], [[1, 2], [2, 4]],
+                               [[3, 0, 0], [0, 1, 0], [0, 0, 1]]])
+def test_unimodular_inverse_rejects_other_determinants(m):
+    with pytest.raises(ValueError):
+        unimodular_inverse(m)
 
 
 def spans_same_lattice(rows, h):

@@ -18,13 +18,16 @@ from traceforms.quadform import (
     genus_symbol,
     hasse_witt,
     hasse_witt_gram,
+    _MeetInTheMiddle,
     _meet_in_the_middle,
+    _witness_search,
     isometry_witness_search,
     jordan_two_adic,
     local_symbol_odd,
     model_equivalent,
     model_form,
     qp_equivalent,
+    reduce_gram,
     signature,
 )
 
@@ -324,48 +327,111 @@ def test_witness_search_random_transforms():
             assert transformed(g, found).entries == g2.entries
 
 
+# disc -1228: x^3 + 4x + 6 and x^3 + 6x + 182
+PAIR_1228 = (GramMatrix([[3, 0, -8], [0, -8, -18], [-8, -18, 32]]),
+             GramMatrix([[-53, -146, -6], [-146, -212, -134], [-6, -134, 72]]))
+# disc -8972: x^3 - 16x + 44 and x^3 + 20x + 12
+PAIR_8972 = (GramMatrix([[3, 0, 16], [0, 32, -66], [16, -66, 128]]),
+             GramMatrix([[3, 0, -20], [0, -40, -18], [-20, -18, 200]]))
+
+
 def test_meet_in_the_middle_witnesses_are_pinned():
     # the box search misses both pairs, so these come from the
     # meet-in-the-middle fallback (budgets 4000 and 16000)
-    # disc -1228: x^3 + 4x + 6 and x^3 + 6x + 182
-    g1 = GramMatrix([[3, 0, -8], [0, -8, -18], [-8, -18, 32]])
-    g2 = GramMatrix([[-53, -146, -6], [-146, -212, -134], [-6, -134, 72]])
-    assert isometry_witness_search(g1, g2, 2) == [
+    assert isometry_witness_search(*PAIR_1228, 2) == [
         [1035, 1910, 742], [224, 416, 159], [630, 1167, 449]
     ]
-    # disc -8972: x^3 - 16x + 44 and x^3 + 20x + 12
-    g1 = GramMatrix([[3, 0, 16], [0, 32, -66], [16, -66, 128]])
-    g2 = GramMatrix([[3, 0, -20], [0, -40, -18], [-20, -18, 200]])
-    assert isometry_witness_search(g1, g2, 2) is None
-    assert isometry_witness_search(g1, g2, 8) == [
+    assert isometry_witness_search(*PAIR_8972, 2) is None
+    assert isometry_witness_search(*PAIR_8972, 8) == [
         [3971, 16544, -8138],
         [109646, 456794, -224749],
         [44441, 185145, -91093],
     ]
 
 
-@pytest.mark.parametrize("entries, moves", [
+# (entries, column moves col_i += t col_j) for forms of dimension 2 and 4
+MOVED_FORMS = [
     ([[2, 1], [1, -3]], [(0, 1, 2), (1, 0, -1), (0, 1, 1)]),
     ([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, -2]],
      [(0, 1, 1), (2, 3, -1), (3, 0, 2), (1, 2, 1)]),
     ([[4, 1, 0, 1], [1, -2, 1, 0], [0, 1, 6, 1], [1, 0, 1, 2]],
      [(0, 3, 2), (3, 1, -1), (2, 0, 1)]),
-])
-def test_meet_in_the_middle_outside_dimension_three(entries, moves):
-    # the image of a form under column moves col_i += t col_j
+]
+
+
+def moved_form(entries, moves):
     n = len(entries)
     u = [[int(i == j) for j in range(n)] for i in range(n)]
     for i, j, t in moves:
         for row in u:
             row[i] += t * row[j]
     g = GramMatrix(entries)
-    h = transformed(g, u)
+    return g, transformed(g, u)
+
+
+@pytest.mark.parametrize("entries, moves", MOVED_FORMS)
+def test_meet_in_the_middle_outside_dimension_three(entries, moves):
+    g, h = moved_form(entries, moves)
     assert h.entries != g.entries
     for budget in (10, 1000):
         w = _meet_in_the_middle(g, h, budget)
         assert w is not None
         assert transformed(g, w).entries == h.entries
         assert abs(det_int(w)) == 1
+
+
+@pytest.mark.parametrize("entries, moves", MOVED_FORMS)
+def test_resumed_walk_matches_a_fresh_walk(entries, moves):
+    # the first budgets fail, the later ones hit
+    g, h = moved_form(entries, moves)
+    walk = _MeetInTheMiddle(g, h)
+    for budget in [*range(10), 1000]:
+        assert walk.advance(budget) == _meet_in_the_middle(g, h, budget)
+
+
+def test_resumed_walk_matches_a_fresh_walk_on_a_pinned_pair():
+    # the first collision of this walk comes at pop 6227
+    red1, _ = reduce_gram(PAIR_8972[0])
+    red2, _ = reduce_gram(PAIR_8972[1])
+    walk = _MeetInTheMiddle(red1, red2)
+    assert walk.advance(4000) is None
+    assert walk.advance(2000) is None
+    assert walk.advance(6226) is None
+    found = walk.advance(16000)
+    assert found is not None
+    assert found == _meet_in_the_middle(red1, red2, 16000)
+    assert _meet_in_the_middle(red1, red2, 6226) is None
+
+
+@pytest.mark.parametrize("pair", [PAIR_1228, PAIR_8972])
+def test_bound_schedule_matches_restarting_at_each_bound(pair):
+    restarted = None
+    for bound in range(1, 9):
+        restarted = isometry_witness_search(*pair, bound)
+        if restarted is not None:
+            break
+    assert restarted is not None
+    assert _witness_search(*pair, range(1, 9)) == restarted
+
+
+def test_witness_search_screens_out_different_signatures(monkeypatch):
+    import traceforms.quadform as qf
+
+    # trace forms of x^4 + 2 and x^4 - 4x^2 + 2: equal determinant,
+    # signatures (2, 2) and (4, 0)
+    g1 = GramMatrix([[4, 0, 0, 0], [0, 0, 0, -8], [0, 0, -8, 0], [0, -8, 0, 0]])
+    g2 = GramMatrix([[4, 0, 8, 0], [0, 8, 0, 24], [8, 0, 24, 0], [0, 24, 0, 80]])
+    assert g1.det == g2.det
+    assert signature(g1) != signature(g2)
+
+    def fail(*args):
+        raise AssertionError("searched a pair the screen rules out")
+
+    monkeypatch.setattr(qf, "_witness_search_raw", fail)
+    monkeypatch.setattr(qf, "_MeetInTheMiddle", fail)
+    monkeypatch.setattr(qf, "reduce_gram", fail)
+    assert _witness_search(g1, g2, range(1, 9)) is None
+    assert isometry_witness_search(g1, g2, 8) is None
 
 
 def test_witness_verification_survives_python_O():
