@@ -32,7 +32,6 @@ from .numberfield import (
     field_from_record,
     is_fundamental_discriminant,
     make_splitting,
-    poly_discriminant,
     ramification_profile,
     signature_of_field,
     splitting_data,
@@ -51,25 +50,21 @@ from .quadform import (
     DiagonalForm,
     GenusSymbol,
     GramMatrix,
-    JordanBlock,
     canonical_two_adic_symbol,
     diagonalize_local,
     genus_equal,
     genus_symbol,
     hasse_witt,
     isometry_witness_search,
-    jordan_two_adic,
     model_equivalent,
     model_form,
     signature,
 )
 from .raminv import (
-    RamificationFactors,
     first_ramification_factor,
     infinity_factor,
     local_trace_model,
     nonresidue_odd_count,
-    ramification_factors,
     second_ramification_factor,
     tame_diagonal_form,
 )

@@ -39,7 +39,6 @@ from .numberfield import (
     FieldRecord,
     field_from_record,
     ramification_profile,
-    splitting_data,
     trace_gram,
 )
 from .padic import legendre_symbol
@@ -359,7 +358,7 @@ def cmd_scan(records, out, group_by_disc=False, cubic_search=None,
     return EXIT_OK
 
 
-def _oracle_checks(fld):
+def oracle_checks(fld):
     """Yield (name, ok, detail) for every cross-check on one field."""
     gram = trace_gram(fld)
     yield ("det-equals-disc", gram.det == fld.disc,
@@ -383,11 +382,9 @@ def _oracle_checks(fld):
         yield (f"alpha-sign-identity@{p}", ok, f"alpha={alpha} h={h}")
         tame_diagonal_form(sd)  # raises if the det class drifts
         yield (f"block-form-det@{p}", True, "det class matches first factor")
-        model = local_trace_model(fld, p)
-        ok = diagonal_local_symbol_odd(model, p) == local_symbol_odd(gram, p)
-        yield (f"local-model@{p}", ok,
-               f"model={diagonal_local_symbol_odd(model, p)} "
-               f"gram={local_symbol_odd(gram, p)}")
+        want = diagonal_local_symbol_odd(local_trace_model(fld, p), p)
+        got = local_symbol_odd(gram, p)
+        yield (f"local-model@{p}", want == got, f"model={want} gram={got}")
     if fld.n == 3 and 3 in profile and not profile[3].tame:
         # wild cubic: branch classification against the trace Gram at 3
         if fld.poly[2] == 0 and fld.poly[1] % 3 == 0:
@@ -398,36 +395,48 @@ def _oracle_checks(fld):
             yield ("wild-cubic-local@3", ok, f"branch={list(map(str, branch.entries))}")
 
 
+def two_adic_pair_checks(fields):
+    """Yield (label_a, label_b, ok) for every pair of fields of equal degree
+    and discriminant that are both tame at 2, in input order; ok says
+    their trace Grams have the same canonical 2-adic symbol.  Each field's
+    tameness at 2 and symbol are computed once, when first needed."""
+    fields = list(fields)
+    symbols = {}
+
+    def tame_symbol(i):
+        """The field's canonical 2-adic symbol, or None when 2 is wild."""
+        if i not in symbols:
+            profile, _ = ramification_profile(fields[i])
+            wild = 2 in profile and not profile[2].tame
+            symbols[i] = None if wild else canonical_two_adic_symbol(
+                trace_gram(fields[i]))
+        return symbols[i]
+
+    for i, fa in enumerate(fields):
+        for j in range(i + 1, len(fields)):
+            fb = fields[j]
+            if fa.n != fb.n or fa.disc != fb.disc:
+                continue
+            sa, sb = tame_symbol(i), tame_symbol(j)
+            if sa is not None and sb is not None:
+                yield fa.label, fb.label, sa == sb
+
+
 def cmd_oracle_check(records, out) -> int:
     fields = _build_fields(records)
     failures = 0
     for label in fields:
-        for name, ok, detail in _oracle_checks(fields[label]):
+        for name, ok, detail in oracle_checks(fields[label]):
             _emit({"type": "check", "label": label, "name": name,
                    "ok": ok, "detail": detail}, out)
             if not ok:
                 failures += 1
     # pairwise: equal degree+disc with 2 tame in both -> equal 2-adic symbols
-    labels = list(fields)
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            fa, fb = fields[labels[i]], fields[labels[j]]
-            if fa.n != fb.n or fa.disc != fb.disc:
-                continue
-            tame_at_2 = True
-            for fld in (fa, fb):
-                profile, _ = ramification_profile(fld)
-                if 2 in profile and not profile[2].tame:
-                    tame_at_2 = False
-            if not tame_at_2:
-                continue
-            ok = canonical_two_adic_symbol(trace_gram(fa)) == canonical_two_adic_symbol(
-                trace_gram(fb)
-            )
-            _emit({"type": "check", "pair": [fa.label, fb.label],
-                   "name": "two-adic-pair", "ok": ok, "detail": ""}, out)
-            if not ok:
-                failures += 1
+    for la, lb, ok in two_adic_pair_checks(fields.values()):
+        _emit({"type": "check", "pair": [la, lb],
+               "name": "two-adic-pair", "ok": ok, "detail": ""}, out)
+        if not ok:
+            failures += 1
     _emit({"type": "summary", "checks_failed": failures}, out)
     return EXIT_INVARIANT if failures else EXIT_OK
 

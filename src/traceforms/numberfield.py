@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedSplittingError,
 )
 from .linalg import fp_left_kernel, hnf, mat_mul
-from .padic import factorize, is_prime
+from .padic import factorize, is_prime, valuation
 from .polys import (
     discriminant,
     factor_mod_p,
@@ -301,11 +301,6 @@ def _dedekind_step(poly, p):
     return False, ustar, pdeg(z)
 
 
-def dedekind_p_maximal(poly, p) -> bool:
-    """Dedekind's criterion: is Z[theta] maximal at p?"""
-    return _dedekind_step(poly, p)[0]
-
-
 def _maximal_order(poly, pdisc_factors=None, dedekind_cache=None):
     """(B, den) of the maximal order; see `maximal_order`."""
     n = pdeg(poly)
@@ -398,11 +393,6 @@ def signature_of_field(poly) -> tuple[int, int]:
     n = pdeg(poly)
     r = sturm_real_roots(poly)
     return r, (n - r) // 2
-
-
-def poly_discriminant(poly) -> int:
-    """Discriminant of a monic squarefree integer polynomial."""
-    return discriminant(poly)
 
 
 def field_from_record(rec: FieldRecord, max_degree: int = DEGREE_CAP,
@@ -527,41 +517,43 @@ def trace_gram(fld: NumberFieldData) -> GramMatrix:
 
 def splitting_data(fld: NumberFieldData, p: int) -> SplittingData:
     """Splitting of p: native factorization mod p when p does not divide
-    the index, otherwise supplied data from the record."""
+    the index, otherwise supplied data from the record.  A tame splitting
+    is checked against the discriminant valuation formula
+    v_p(disc) = n - f_p, with a ConsistencyError on mismatch."""
     if not is_prime(p):
         raise ConsistencyError(f"{p} is not prime")
+    supplied = fld.supplied_splitting.get(p)
     if fld.index % p != 0:
         fac = factor_mod_p(list(fld.poly), p)
         pairs = [(mult, pdeg(g)) for g, mult in fac]
-        native = make_splitting(p, pairs, fld.n)
-        supplied = fld.supplied_splitting.get(p)
-        if supplied is not None and supplied != native:
+        split = make_splitting(p, pairs, fld.n)
+        if supplied is not None and supplied != split:
             raise ConsistencyError(
                 f"supplied splitting at {p} contradicts native factorization"
             )
-        return native
-    supplied = fld.supplied_splitting.get(p)
-    if supplied is None:
+    elif supplied is None:
         raise UnsupportedSplittingError(p)
-    if supplied.tame:
-        v = 0
-        d = fld.disc
-        while d % p == 0:
-            v += 1
-            d //= p
-        if v != fld.n - supplied.f_sum:
+    else:
+        split = supplied
+    if split.tame:
+        v = valuation(fld.disc, p)
+        if v != fld.n - split.f_sum:
+            if split is supplied:
+                raise ConsistencyError(
+                    f"supplied tame splitting at {p} violates v_p(disc) = n - f_p"
+                )
             raise ConsistencyError(
-                f"supplied tame splitting at {p} violates v_p(disc) = n - f_p"
+                f"tame discriminant formula fails at {p}: "
+                f"v_p(disc)={v}, n-f_p={fld.n - split.f_sum}"
             )
-    return supplied
+    return split
 
 
 def ramification_profile(fld: NumberFieldData):
     """Splitting at every ramified prime, plus the global tameness flag.
 
-    Returns (profile dict p -> SplittingData, tame: bool).  For tame
-    primes the discriminant valuation formula v_p(disc) = n - f_p is
-    verified and a ConsistencyError raised on mismatch.
+    Returns (profile dict p -> SplittingData, tame: bool).  `splitting_data`
+    verifies v_p(disc) = n - f_p at every tame prime.
     """
     profile = {}
     tame = True
@@ -569,19 +561,7 @@ def ramification_profile(fld: NumberFieldData):
         sd = splitting_data(fld, p)
         if not sd.ramified:
             raise ConsistencyError(f"{p} divides disc but splitting is unramified")
-        if sd.tame:
-            v = 0
-            d = fld.disc
-            while d % p == 0:
-                v += 1
-                d //= p
-            if v != fld.n - sd.f_sum:
-                raise ConsistencyError(
-                    f"tame discriminant formula fails at {p}: "
-                    f"v_p(disc)={v}, n-f_p={fld.n - sd.f_sum}"
-                )
-        else:
-            tame = False
+        tame = tame and sd.tame
         profile[p] = sd
     return profile, tame
 

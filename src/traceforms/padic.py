@@ -100,16 +100,6 @@ def factorize(n: int) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
-def squarefree_part(n: int) -> int:
-    """Largest squarefree divisor of n, carrying the sign of n."""
-    sign = -1 if n < 0 else 1
-    out = sign
-    for p, e in factorize(n).items():
-        if e % 2:
-            out *= p
-    return out
-
-
 def check_spot(p: int) -> int:
     """Validate that p is -1, 2, or an odd prime; returns p."""
     if p == -1 or p == 2:

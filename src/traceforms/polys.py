@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 from .errors import RepeatedRootError
 from .padic import is_prime
@@ -55,13 +55,6 @@ def pscale(f, c):
     if c == 0:
         return []
     return [a * c for a in f]
-
-
-def peval(f, x):
-    acc = 0
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
 
 
 def pderiv(f):

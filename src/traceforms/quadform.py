@@ -33,12 +33,11 @@ from .errors import (
 from .linalg import det_int, mat_mul, unimodular_inverse
 from .padic import (
     Rational,
-    SquareClass,
     check_odd_prime,
     check_spot,
     factorize,
     hilbert_symbol,
-    least_nonresidue,
+    jacobi_symbol,
     square_class,
     val_unit,
 )
@@ -118,17 +117,6 @@ class DiagonalForm:
         )
 
 
-@dataclass(frozen=True)
-class JordanBlock:
-    """One p^scale-scaled unimodular constituent of a local decomposition."""
-
-    scale: int
-    dim: int
-    det_class: SquareClass
-    parity: str | None = None  # "I" / "II", p = 2 only
-    oddity: int | None = None  # trace mod 8, p = 2 only
-
-
 def _to_fraction_matrix(gram: GramMatrix):
     return [[Fraction(x) for x in row] for row in gram.entries]
 
@@ -191,15 +179,13 @@ def hasse_witt(form: DiagonalForm, p: int) -> int:
     return out
 
 
-def hasse_witt_gram(gram: GramMatrix, p: int) -> int:
-    return hasse_witt(DiagonalForm(tuple(rational_diagonal(gram))), p)
+def _local_diagonal(gram: GramMatrix, p: int) -> list[Fraction]:
+    """Diagonal of a Z_p-equivalent diagonal form, p odd, by elimination.
 
-
-def diagonalize_local(gram: GramMatrix, p: int) -> DiagonalForm:
-    """Diagonal form Z_p-equivalent to the Gram matrix, p odd.
-
-    All congruence transformations have p-unit denominators, so the output
-    class is exact; each entry is canonicalized to p^k or p^k*u_p.
+    Each step pivots on an entry of least valuation (moved onto the
+    diagonal first when only an off-diagonal entry has it), so every
+    congruence transformation has p-unit denominators and the diagonal's
+    class over Z_p is exact.
     """
     check_odd_prime(p)
     gram.det  # raises on singular input
@@ -227,31 +213,33 @@ def diagonalize_local(gram: GramMatrix, p: int) -> DiagonalForm:
         _sym_eliminate(a, active, i, a[i][i])
         diag.append(a[i][i])
         active.remove(i)
+    return diag
+
+
+def diagonalize_local(gram: GramMatrix, p: int) -> DiagonalForm:
+    """Diagonal form Z_p-equivalent to the Gram matrix, p odd.
+
+    Each entry is canonicalized to p^k or p^k*u_p, sorted by scale.
+    """
     canonical = []
-    for d in diag:
+    for d in _local_diagonal(gram, p):
         v, u = val_unit(d, p)
         canonical.append(p**v * square_class(u, p).rep)
     canonical.sort(key=lambda e: (val_unit(e, p)[0], e))
     return DiagonalForm(tuple(canonical), spot=p)
 
 
-def jordan_blocks_odd(gram: GramMatrix, p: int) -> list[JordanBlock]:
-    """Jordan constituents at an odd p: per-scale dimension and det class."""
-    form = diagonalize_local(gram, p)
-    by_scale: dict[int, list] = {}
-    for e in form.entries:
+def _scale_symbol(entries, p: int):
+    """Per-scale (scale, dim, eps) of diagonal entries at odd p, where eps
+    is the Legendre symbol of the product of the scale's units."""
+    dims: dict[int, int] = {}
+    residues: dict[int, int] = {}
+    for e in entries:
         v, u = val_unit(e, p)
-        by_scale.setdefault(v, []).append(u)
-    out = []
-    for scale in sorted(by_scale):
-        units = by_scale[scale]
-        prod = Fraction(1)
-        for u in units:
-            prod *= u
-        out.append(
-            JordanBlock(scale=scale, dim=len(units), det_class=square_class(prod, p))
-        )
-    return out
+        dims[v] = dims.get(v, 0) + 1
+        # num/den and num*den differ by the square den^2
+        residues[v] = residues.get(v, 1) * u.numerator * u.denominator % p
+    return tuple((v, dims[v], jacobi_symbol(residues[v], p)) for v in sorted(dims))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +326,7 @@ def _unit8(x: Fraction) -> int:
     return num * pow(den, -1, 8) % 8
 
 
-def two_adic_symbol(gram: GramMatrix):
+def _two_adic_symbol(gram: GramMatrix):
     """Raw 2-adic symbol: sorted list of [scale, dim, sign, type, oddity]."""
     gram.det
     a = _to_fraction_matrix(gram)
@@ -416,11 +404,13 @@ def _trains(symbol):
 def canonical_two_adic_symbol(gram: GramMatrix):
     """Canonical 2-adic symbol: equality decides Z_2-equivalence.
 
-    Oddity fusion concentrates each compartment's oddity on its leader;
+    A list of (scale, dim, sign, type, oddity) tuples, one per Jordan
+    scale, with type 1 for an odd block and 0 for an even one.  Oddity
+    fusion concentrates each compartment's oddity on its leader;
     sign walking moves minus signs to the front of each train, adding 4 to
     the oddity of every compartment touching either end of each step.
     """
-    symbol = two_adic_symbol(gram)
+    symbol = _two_adic_symbol(gram)
     comps = _compartments(symbol)
     for comp in comps:
         total = sum(symbol[i][4] for i in comp) % 8
@@ -438,30 +428,6 @@ def canonical_two_adic_symbol(gram: GramMatrix):
                     if idx in comp or prev in comp:
                         symbol[comp[0]][4] = (symbol[comp[0]][4] + 4) % 8
     return [tuple(q) for q in symbol]
-
-
-def _det8_from(sign: int, dim: int, oddity: int) -> int:
-    det4 = (1 - dim + oddity) % 4
-    if sign == 1:
-        return 1 if det4 == 1 else 7
-    return 5 if det4 == 1 else 3
-
-
-def jordan_two_adic(gram: GramMatrix) -> list[JordanBlock]:
-    """Canonicalized 2-adic Jordan data (scales, dims, det mod 8, type, oddity)."""
-    out = []
-    for scale, dim, sign, parity, oddity in canonical_two_adic_symbol(gram):
-        det8 = _det8_from(sign, dim, oddity)
-        out.append(
-            JordanBlock(
-                scale=scale,
-                dim=dim,
-                det_class=SquareClass(2, det8),
-                parity="I" if parity == 1 else "II",
-                oddity=oddity,
-            )
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +456,7 @@ class GenusSymbol:
 
 def local_symbol_odd(gram: GramMatrix, p: int):
     """(scale, dim, eps) per Jordan scale at odd p; eps is the det Legendre sign."""
-    blocks = jordan_blocks_odd(gram, p)
-    out = []
-    for b in blocks:
-        eps = 1 if b.det_class.rep == 1 else -1
-        out.append((b.scale, b.dim, eps))
-    return tuple(out)
+    return _scale_symbol(_local_diagonal(gram, p), p)
 
 
 def genus_symbol(gram: GramMatrix) -> GenusSymbol:
@@ -571,38 +532,8 @@ def model_equivalent(m1, m2, p: int) -> bool:
 
 def diagonal_local_symbol_odd(form: DiagonalForm, p: int):
     """Per-scale (scale, dim, eps) of a diagonal form at odd p."""
-    by_scale: dict[int, Fraction] = {}
-    dims: dict[int, int] = {}
-    for e in form.entries:
-        v, u = val_unit(e, p)
-        by_scale[v] = by_scale.get(v, Fraction(1)) * u
-        dims[v] = dims.get(v, 0) + 1
-    return tuple(
-        (v, dims[v], 1 if square_class(by_scale[v], p).rep == 1 else -1)
-        for v in sorted(dims)
-    )
-
-
-def qp_equivalent(f1: DiagonalForm, f2: DiagonalForm, p: int) -> bool:
-    """Equivalence over Q_p (p = -1 meaning R): dim, det class, Hasse."""
-    check_spot(p)
-    if f1.dim != f2.dim:
-        return False
-    d1 = Fraction(1)
-    for e in f1.entries:
-        d1 *= e
-    d2 = Fraction(1)
-    for e in f2.entries:
-        d2 *= e
-    if p == -1:
-        neg1 = sum(1 for e in f1.entries if e < 0)
-        neg2 = sum(1 for e in f2.entries if e < 0)
-        return neg1 == neg2
-    v1, u1 = val_unit(d1, p)
-    v2, u2 = val_unit(d2, p)
-    if (v1 - v2) % 2 != 0 or square_class(u1, p) != square_class(u2, p):
-        return False
-    return hasse_witt(f1, p) == hasse_witt(f2, p)
+    check_odd_prime(p)
+    return _scale_symbol(form.entries, p)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ of the integral trace at odd primes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, TamenessError
@@ -85,36 +84,6 @@ def tame_diagonal_form(split: SplittingData) -> DiagonalForm:
     if square_class(det, p) != square_class(first_ramification_factor(split), p):
         raise ConsistencyError(f"block form at {p} has the wrong determinant class")
     return form
-
-
-@dataclass(frozen=True)
-class RamificationFactors:
-    """Bundle of the invariants of one prime in one field."""
-
-    spot: int
-    first: int | Fraction
-    second: Fraction
-    nonresidue_count: int | None
-    g: int
-    e_sum: int
-    f_sum: int
-    degree: int
-
-
-def ramification_factors(split: SplittingData, n: int) -> RamificationFactors:
-    count = None
-    if split.p != 2 and split.tame:
-        count = nonresidue_odd_count(split)
-    return RamificationFactors(
-        spot=split.p,
-        first=first_ramification_factor(split),
-        second=second_ramification_factor(split, n),
-        nonresidue_count=count,
-        g=split.g,
-        e_sum=split.e_sum,
-        f_sum=split.f_sum,
-        degree=n,
-    )
 
 
 def trace_model_from_splitting(split: SplittingData, n: int, disc: int) -> DiagonalForm:

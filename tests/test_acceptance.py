@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from _synth import ODD_POOL, random_tame_splitting, sibling_field, synth_field
-from traceforms.cli import ingest
+from traceforms.cli import ingest, oracle_checks, two_adic_pair_checks
 from traceforms.cubicsearch import enumerate_cubic_fields, equal_disc_groups
 from traceforms.decide import (
     FieldInvariants,
@@ -39,16 +39,13 @@ from traceforms.padic import (
     val_unit,
 )
 from traceforms.quadform import (
-    canonical_two_adic_symbol,
     diagonal_local_symbol_odd,
     genus_equal,
     local_symbol_odd,
     pairwise_witnesses,
-    signature,
 )
 from traceforms.raminv import (
     first_ramification_factor,
-    local_trace_model,
     nonresidue_odd_count,
     tame_diagonal_form,
 )
@@ -107,10 +104,9 @@ def test_criterion_1_trace_form_fundamentals(corpus):
     t0 = time.monotonic()
     checked = 0
     for fld in corpus.values():
-        gram = trace_gram(fld)
-        assert gram.det == fld.disc, fld.label
-        r, s = fld.sig
-        assert signature(gram) == (r + s, s), fld.label
+        checks = {name: (ok, detail) for name, ok, detail in oracle_checks(fld)}
+        for name in ("det-equals-disc", "signature-identity"):
+            assert checks[name][0], (fld.label, name, checks[name][1])
         checked += 1
     elapsed = time.monotonic() - t0
     report(
@@ -245,19 +241,10 @@ def test_criterion_6_local_cubic_classification(corpus):
 def test_criterion_7_local_trace_model(corpus):
     checks = 0
     for fld in corpus.values():
-        profile, _tame = ramification_profile(fld)
-        gram = None
-        for p, sd in sorted(profile.items()):
-            if p == 2 or not sd.tame:
-                continue
-            if gram is None:
-                gram = trace_gram(fld)
-            model = local_trace_model(fld, p)
-            assert diagonal_local_symbol_odd(model, p) == local_symbol_odd(gram, p), (
-                fld.label,
-                p,
-            )
-            checks += 1
+        for name, ok, detail in oracle_checks(fld):
+            if name == "tame-valuation" or name.startswith("local-model@"):
+                assert ok, (fld.label, name, detail)
+            checks += name.startswith("local-model@")
     report(7, checks >= 40, f"local genus of trace gram equals the tame model at "
                             f"{checks} (field, odd prime) pairs")
 
@@ -314,22 +301,9 @@ def test_criterion_8_criterion_equivalences(cubic_run):
 
 
 def test_criterion_9_two_adic_pairs(corpus):
-    labels = list(corpus)
     pairs = 0
-    for la, lb in itertools.combinations(labels, 2):
-        fa, fb = corpus[la], corpus[lb]
-        if fa.n != fb.n or fa.disc != fb.disc:
-            continue
-        tame2 = True
-        for fld in (fa, fb):
-            profile, _ = ramification_profile(fld)
-            if 2 in profile and not profile[2].tame:
-                tame2 = False
-        if not tame2:
-            continue
-        assert canonical_two_adic_symbol(trace_gram(fa)) == canonical_two_adic_symbol(
-            trace_gram(fb)
-        ), (la, lb)
+    for la, lb, ok in two_adic_pair_checks(corpus.values()):
+        assert ok, (la, lb)
         pairs += 1
     report(9, pairs >= 4, f"identical canonical 2-adic symbols on {pairs} "
                           f"equal-degree equal-disc corpus pairs tame at 2")

@@ -12,9 +12,9 @@ from traceforms.errors import (
 from traceforms.linalg import mat_mul, transpose
 from traceforms.numberfield import (
     FieldRecord,
+    _dedekind_step,
     _enlarge_at,
     _reduction_vectors,
-    dedekind_p_maximal,
     field_from_record,
     is_fundamental_discriminant,
     maximal_order,
@@ -128,9 +128,9 @@ def test_supplied_basis_rejections():
 
 
 def test_dedekind_criterion_direct():
-    assert dedekind_p_maximal([1, 0, 0, 0, 1], 2)  # Z[zeta_8] is 2-maximal
-    assert not dedekind_p_maximal([8, -2, 1, 1], 2)  # essential divisor 2
-    assert not dedekind_p_maximal([-5, 0, 1], 2)
+    assert _dedekind_step([1, 0, 0, 0, 1], 2)[0]  # Z[zeta_8] is 2-maximal
+    assert not _dedekind_step([8, -2, 1, 1], 2)[0]  # essential divisor 2
+    assert not _dedekind_step([-5, 0, 1], 2)[0]
 
 
 def test_signature_of_field():
@@ -172,6 +172,12 @@ def test_supplied_splitting_validation():
     fld = make_field("c23", [-1, -1, 0, 1], splitting={7: [[1, 1], [1, 1], [1, 1]]})
     with pytest.raises(ConsistencyError):
         splitting_data(fld, 7)
+    # x^3 + x^2 - 2x + 8: disc -503, index 2, so 2 is unramified, but the
+    # supplied tame splitting claims v_2(disc) = n - f_2 = 2
+    fld = make_field("i2", [8, -2, 1, 1], splitting={2: [[3, 1]]})
+    assert (fld.disc, fld.index) == (-503, 2)
+    with pytest.raises(ConsistencyError, match="violates v_p"):
+        splitting_data(fld, 2)
 
 
 def test_ramification_profiles():

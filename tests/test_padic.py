@@ -13,7 +13,6 @@ from traceforms.padic import (
     least_nonresidue,
     legendre_symbol,
     square_class,
-    squarefree_part,
     val_unit,
 )
 
@@ -67,8 +66,6 @@ def test_factorize_roundtrip():
             prod *= p**e
         assert prod == n
     assert factorize(-12) == {2: 2, 3: 1}
-    assert squarefree_part(-12) == -3
-    assert squarefree_part(45) == 5
 
 
 def test_legendre_spec_examples():

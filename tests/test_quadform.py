@@ -1,13 +1,26 @@
+import hashlib
 import itertools
+import json
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 from _optimized import run_optimized
+from traceforms.cli import ingest
 from traceforms.errors import HypothesisError, SingularFormError
 from traceforms.linalg import det_int, mat_mul, transpose
-from traceforms.padic import hilbert_symbol, least_nonresidue, legendre_symbol, val_unit
+from traceforms.numberfield import field_from_record, trace_gram
+from traceforms.padic import (
+    check_spot,
+    factorize,
+    hilbert_symbol,
+    least_nonresidue,
+    legendre_symbol,
+    square_class,
+    val_unit,
+)
 from traceforms.quadform import (
     DiagonalForm,
     GramMatrix,
@@ -17,19 +30,47 @@ from traceforms.quadform import (
     genus_equal,
     genus_symbol,
     hasse_witt,
-    hasse_witt_gram,
     _MeetInTheMiddle,
     _meet_in_the_middle,
     _witness_search,
     isometry_witness_search,
-    jordan_two_adic,
     local_symbol_odd,
     model_equivalent,
     model_form,
-    qp_equivalent,
+    rational_diagonal,
     reduce_gram,
     signature,
 )
+
+DATA = os.path.join(os.path.dirname(__file__), "data", "corpus.jsonl")
+
+
+def hasse_witt_gram(gram, p):
+    """Hasse-Witt invariant of a Gram matrix through its rational diagonal:
+    the reference that local diagonalization must preserve."""
+    return hasse_witt(DiagonalForm(tuple(rational_diagonal(gram))), p)
+
+
+def qp_equivalent(f1, f2, p):
+    """Equivalence over Q_p (p = -1 meaning R): dim, det class, Hasse."""
+    check_spot(p)
+    if f1.dim != f2.dim:
+        return False
+    d1 = Fraction(1)
+    for e in f1.entries:
+        d1 *= e
+    d2 = Fraction(1)
+    for e in f2.entries:
+        d2 *= e
+    if p == -1:
+        neg1 = sum(1 for e in f1.entries if e < 0)
+        neg2 = sum(1 for e in f2.entries if e < 0)
+        return neg1 == neg2
+    v1, u1 = val_unit(d1, p)
+    v2, u2 = val_unit(d2, p)
+    if (v1 - v2) % 2 != 0 or square_class(u1, p) != square_class(u2, p):
+        return False
+    return hasse_witt(f1, p) == hasse_witt(f2, p)
 
 
 def diag_gram(*entries):
@@ -119,18 +160,15 @@ def test_diagonalize_local_preserves_det_and_hasse():
         assert hasse_witt(form, p) == hasse_witt_gram(g, p)
 
 
-def test_jordan_two_adic_examples():
-    blocks = jordan_two_adic(diag_gram(1, 1, 1))
-    assert len(blocks) == 1
-    b = blocks[0]
-    assert (b.scale, b.dim, b.det_class.rep, b.parity, b.oddity) == (0, 3, 1, "I", 3)
+def test_canonical_two_adic_examples():
+    # (scale, dim, sign, type, oddity); with dim and oddity, the sign fixes
+    # the block det mod 8.  One odd block of det 1 mod 8:
+    assert canonical_two_adic_symbol(diag_gram(1, 1, 1)) == [(0, 3, 1, 1, 3)]
 
-    # <3> + 2*hyperbolic
+    # <3> + 2*hyperbolic: an odd block of det 3 mod 8, then an even
+    # scale-1 block of det -1 = 7 mod 8
     g = GramMatrix([[3, 0, 0], [0, 0, 2], [0, 2, 0]])
-    blocks = jordan_two_adic(g)
-    assert [(b.scale, b.dim, b.parity) for b in blocks] == [(0, 1, "I"), (1, 2, "II")]
-    assert blocks[0].det_class.rep == 3 and blocks[0].oddity == 3
-    assert blocks[1].det_class.rep == 7 and blocks[1].oddity == 0
+    assert canonical_two_adic_symbol(g) == [(0, 1, -1, 1, 3), (1, 2, 1, 0, 0)]
 
     # <2,3> vs <1,6>: distinct canonical symbols
     assert canonical_two_adic_symbol(diag_gram(2, 3)) != canonical_two_adic_symbol(
@@ -138,6 +176,28 @@ def test_jordan_two_adic_examples():
     )
     # and they also differ at p = 3
     assert local_symbol_odd(diag_gram(2, 3), 3) != local_symbol_odd(diag_gram(1, 6), 3)
+
+
+def test_local_symbol_odd_reads_the_local_diagonal():
+    rng = random.Random(53)
+    for _ in range(150):
+        p = rng.choice([3, 5, 7, 11, 23])
+        g = random_gram(rng, rng.randint(1, 4))
+        assert local_symbol_odd(g, p) == diagonal_local_symbol_odd(
+            diagonalize_local(g, p), p
+        ), (g, p)
+
+
+def test_local_symbols_of_the_corpus_are_pinned():
+    items = []
+    for rec in ingest(DATA):
+        g = trace_gram(field_from_record(rec))
+        odd = [[p, str(local_symbol_odd(g, p))]
+               for p in sorted(factorize(g.det)) if p != 2]
+        items.append([rec.label, str(canonical_two_adic_symbol(g)), odd])
+    assert len(items) == 61 and sum(len(odd) for *_, odd in items) == 70
+    text = json.dumps(items, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest().startswith("16a08440b91f50f1")
 
 
 def test_two_adic_known_equivalences():

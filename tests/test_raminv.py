@@ -12,7 +12,6 @@ from traceforms.raminv import (
     infinity_factor,
     local_trace_model,
     nonresidue_odd_count,
-    ramification_factors,
     second_ramification_factor,
     tame_diagonal_form,
     trace_model_from_splitting,
@@ -115,14 +114,6 @@ def test_sign_identity_fuzz():
         lhs = legendre_symbol(alpha, p) * (-1) ** sd.f_sum
         rhs = (-1) ** (sd.g - h)
         assert lhs == rhs, (p, sd.pairs)
-
-
-def test_ramification_factors_bundle():
-    sd = make_splitting(5, [(2, 1), (1, 2)], 4)
-    rf = ramification_factors(sd, 4)
-    assert rf.first == 4 and rf.nonresidue_count == 1
-    assert rf.g == 2 and rf.e_sum == 3 and rf.f_sum == 3
-    assert rf.nonresidue_count <= rf.g
 
 
 def test_local_trace_model_c23():
