@@ -2,7 +2,7 @@
 
 Input is line-delimited JSON records {label, poly, basis?, splitting?,
 galois?} with polynomial coefficients constant-term-first.  Output is
-line-delimited JSON report objects on stdout; progress goes to stderr.
+line-delimited JSON report objects on stdout; errors go to stderr.
 
 Exit codes: 0 success, 1 usage, 2 parse/validation, 3 tameness or
 unsupported splitting, 4 no applicable criterion, 5 invariant failure.
@@ -287,9 +287,14 @@ def cmd_compare(records, label_a, label_b, oracle=False, witness_bound=None,
     return EXIT_OK
 
 
+def _cubic_label(poly):
+    """x^3+b2x^2+b1x+b0 for the monic cubic (b0, b1, b2, 1)."""
+    return f"x^3{poly[2]:+d}x^2{poly[1]:+d}x{poly[0]:+d}"
+
+
 def _cubic_group_reports(group, witness_bound, out):
     fields = [
-        field_from_record(FieldRecord(label=f"x^3{c.a:+d}x{c.b:+d}", poly=c.poly))
+        field_from_record(FieldRecord(label=_cubic_label(c.poly), poly=c.poly))
         for c in group
     ]
     grams = [trace_gram(f) for f in fields]
@@ -320,7 +325,7 @@ def _cubic_group_reports(group, witness_bound, out):
 
 
 def cmd_scan(records, out, group_by_disc=False, cubic_search=None,
-             witness_bound=8, progress=None) -> int:
+             witness_bound=8) -> int:
     fields = _build_fields(records)
     groups = {}
     for label, fld in fields.items():
@@ -340,7 +345,7 @@ def cmd_scan(records, out, group_by_disc=False, cubic_search=None,
             raise LimitError(
                 f"cubic search cap is {MAX_CUBIC_SEARCH}, got {cubic_search}"
             )
-        classes = enumerate_cubic_fields(cubic_search, progress=progress)
+        classes = enumerate_cubic_fields(cubic_search)
         pair_groups = equal_disc_groups(classes)
         npairs = 0
         for group in pair_groups:
@@ -486,11 +491,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     out = sys.stdout
-
-    def progress(done, total):
-        sys.stderr.write(f"cubic search: {done}/{total}\r")
-        sys.stderr.flush()
-
     try:
         if args.command == "scan":
             records = ingest(args.records) if args.records else []
@@ -500,7 +500,7 @@ def main(argv=None) -> int:
             return cmd_scan(
                 records, out, group_by_disc=args.group_by_disc,
                 cubic_search=args.cubic_search,
-                witness_bound=args.witness_bound, progress=progress,
+                witness_bound=args.witness_bound,
             )
         records = ingest(args.records)
         if args.command == "invariants":

@@ -301,26 +301,16 @@ def _dedekind_step(poly, p):
     return False, ustar, pdeg(z)
 
 
-def _maximal_order(poly, pdisc_factors=None, dedekind_cache=None):
+def _maximal_order(poly):
     """(B, den) of the maximal order; see `maximal_order`."""
     n = pdeg(poly)
-    if pdisc_factors is None:
-        pdisc_factors = factorize(discriminant(poly))
     rows = [[1 if c == k else 0 for c in range(n)] for k in range(n)]
     den = 1
     red = None
-    for p, e in pdisc_factors.items():
+    for p, e in factorize(discriminant(poly)).items():
         if e < 2:
             continue
-        if dedekind_cache is not None:
-            key = (p, tuple(c % p**2 for c in poly))
-            step = dedekind_cache.get(key)
-            if step is None:
-                step = _dedekind_step(poly, p)
-                dedekind_cache[key] = step
-        else:
-            step = _dedekind_step(poly, p)
-        maximal, ustar, gained = step
+        maximal, ustar, gained = _dedekind_step(poly, p)
         if maximal:
             continue
         # first enlargement from the criterion: add (ustar(theta)/p)*Z[theta]
@@ -350,7 +340,7 @@ def _maximal_order(poly, pdisc_factors=None, dedekind_cache=None):
     return rows, den
 
 
-def maximal_order(poly, pdisc_factors=None, dedekind_cache=None):
+def maximal_order(poly):
     """Integral basis (rows over the power basis) of the maximal order.
 
     Dedekind's criterion at p depends only on the polynomial (enlargements
@@ -359,7 +349,7 @@ def maximal_order(poly, pdisc_factors=None, dedekind_cache=None):
     radical/multiplier loop finishes the rare deeper-index cases and stops
     once the index gain reaches its cap v_p(poly disc) // 2.
     """
-    return _fraction_rows(_maximal_order(poly, pdisc_factors, dedekind_cache))
+    return _fraction_rows(_maximal_order(poly))
 
 
 def _fraction_rows(order):

@@ -605,22 +605,32 @@ class _MeetInTheMiddle:
     pops exactly the states that one walk to b2 pops and returns the same
     result.
 
-    This loop dominates the hard-pair search cost, so states are kept
-    small.  A state is the upper triangle of its Gram matrix, row by row
-    (n(n+1)/2 entries), and its heap key is the full matrix's sum of
-    squares (diagonal squares plus twice the off-diagonal ones).  For
-    symmetric matrices lexicographic order on the row-major upper triangle
-    is the same as on the full row-major matrix, so states pop in the same
-    order as full matrices would.  A move changes only row and column i:
-    a_ic += t a_jc for c != i and a_ii += 2t a_ij + a_jj, so new entries
-    and scores come from precomputed index pairs.  `seen` maps a state to
-    the index of the move that first reached it (-1 for a start), and
-    move k ^ 1 undoes move k, so a popped state skips the undo of the move
-    that reached it: that child is its parent, already seen.  At the
-    collision both sides are walked back to their starts: side A's moves
-    replayed on the identity give U1, and side B's undo moves applied after
-    them give U1 * U2^-1 exactly.
+    This loop dominates the hard-pair search cost, so each state is one
+    int.  A state's entries x_0..x_{m-1} are the upper triangle of its Gram
+    matrix, row by row (m = n(n+1)/2), and its score is the full matrix's
+    sum of squares; its key is score * 2^(mW) + sum (x_i + 2^(W-1)) *
+    2^(W(m-1-i)).  While score < 2^(2W-2) every |x_i| < 2^(W-1), so int
+    order on keys is (score, upper triangle) order, and for symmetric
+    matrices that is the order on (score, full row-major matrix): heaps of
+    keys pop states cheapest first with a fixed tie order.  W is picked
+    from the start scores; when a child's score reaches 2^(2W-2), W doubles
+    and every key in both heaps and both `seen` maps is re-encoded, a
+    monotone map, so the heaps stay heaps and the walk is unchanged.
+
+    A move changes only row and column i: a_ic += t a_jc for c != i and
+    a_ii += 2t a_ij + a_jj, so a child's key is its parent's key plus the
+    changes to those 2n - 1 entries and to the score, and the moves
+    (i, j, -1) and (i, j, 1) share the sums over row i that give them.
+    `seen` maps a key to the index of the move that first reached it (-1
+    for a start), and move k ^ 1 undoes move k, so a popped state skips the
+    undo of the move that reached it: that child is its parent, already
+    seen.  At the collision both sides are walked back to their starts:
+    side A's moves replayed on the identity give U1, and side B's undo
+    moves applied after them give U1 * U2^-1 exactly.
     """
+
+    # bits of W above the least width that fits the start scores
+    WIDTH_SLACK = 4
 
     def __init__(self, g1: GramMatrix, g2: GramMatrix):
         n = g1.n
@@ -628,7 +638,9 @@ class _MeetInTheMiddle:
         pos = {}
         for k, (r, c) in enumerate(tri):
             pos[r, c] = pos[c, r] = k
-        self.n = n
+        self.n, self.m = n, len(tri)
+        # the full matrix counts each off-diagonal entry twice
+        self.mult = [1 if r == c else 2 for r, c in tri]
         self.moves = [
             (i, j, t)
             for i in range(n)
@@ -641,35 +653,74 @@ class _MeetInTheMiddle:
              pos[i, i], pos[i, j], pos[j, j])
             for k, (i, j, t) in enumerate(self.moves)
         ]
-        # the moves to try from a state reached by move m, indexed by m;
-        # the last entry (index -1, a start) keeps them all
+        # moves (i, j, -1) and (i, j, 1) are k and k + 1 for even k and
+        # share their sums over row i: one entry per pair, with the t to try
+        pairs = [(k, row, ii, ij, jj) for k, _, row, ii, ij, jj in steps[::2]]
+        # the pairs to try from a state reached by move m, indexed by m,
+        # without the undo m ^ 1; the last entry (index -1, a start) keeps
+        # every move
         self.children = [
-            [s for s in steps if s[0] != m ^ 1] for m in range(len(steps))
-        ] + [steps]
-        startA = tuple(g1.entries[r][c] for r, c in tri)
-        startB = tuple(g2.entries[r][c] for r, c in tri)
-        self.seen = ({startA: -1}, {startB: -1})
-        self.heaps = (
-            [(sum(x * x for row in g1.entries for x in row), startA)],
-            [(sum(x * x for row in g2.entries for x in row), startB)],
-        )
-        self.collision = startA if startA in self.seen[1] else None
+            [(*pair, (-1, 1) if pair[0] != m & ~1 else (self.moves[m][2],))
+             for pair in pairs]
+            for m in range(len(steps))
+        ] + [[(*pair, (-1, 1)) for pair in pairs]]
+        startA = [g1.entries[r][c] for r, c in tri]
+        startB = [g2.entries[r][c] for r, c in tri]
+        top = max(self.score(startA), self.score(startB))
+        self.weights, self.shifts = [0] * self.m, [0] * self.m
+        self.set_width((top.bit_length() + 3) // 2 + self.WIDTH_SLACK)
+        keyA, keyB = self.encode(startA), self.encode(startB)
+        self.seen = ({keyA: -1}, {keyB: -1})
+        self.heaps = ([keyA], [keyB])
+        self.collision = keyA if keyA in self.seen[1] else None
         self.pops = 0
 
-    def step(self, state, k):
-        _, t, row, ii, ij, jj = self.steps[k]
-        new = list(state)
-        for d, s in row:
-            new[d] += t * state[s]
-        new[ii] += 2 * t * state[ij] + state[jj]
-        return tuple(new)
+    def score(self, state) -> int:
+        return sum(w * x * x for w, x in zip(self.mult, state))
 
-    def walk_back(self, seen, state):
-        """Indices of the moves from the start to `state`, last first."""
+    def set_width(self, width: int):
+        """Use W = width; `weights` and `shifts` are updated in place."""
+        self.width, m = width, self.m
+        self.half = 1 << (width - 1)
+        self.mask = (1 << width) - 1
+        self.cap = 1 << (2 * width - 2)
+        self.score_shift = m * width
+        for i in range(m):
+            self.shifts[i] = width * (m - 1 - i)
+            self.weights[i] = 1 << self.shifts[i]
+        # the encoded digit sum of the all-zero state
+        self.offset = self.half * sum(self.weights)
+
+    def encode(self, state) -> int:
+        key = (self.score(state) << self.score_shift) + self.offset
+        return key + sum(x * w for x, w in zip(state, self.weights))
+
+    def decode(self, key):
+        mask, half = self.mask, self.half
+        return [((key >> shift) & mask) - half for shift in self.shifts]
+
+    def widen(self):
+        """Double W and re-encode every key, keeping every container."""
+        old = [([self.decode(k) for k in heap], [(self.decode(k), v) for k, v in seen.items()])
+               for heap, seen in zip(self.heaps, self.seen)]
+        self.set_width(2 * self.width)
+        for heap, seen, (hstates, sstates) in zip(self.heaps, self.seen, old):
+            heap[:] = [self.encode(x) for x in hstates]
+            seen.clear()
+            seen.update((self.encode(x), v) for x, v in sstates)
+
+    def walk_back(self, seen, key):
+        """Indices of the moves from the start to `key`, last first."""
         path = []
-        while (k := seen[state]) >= 0:
+        while (k := seen[key]) >= 0:
             path.append(k)
-            state = self.step(state, k ^ 1)
+            _, t, row, ii, ij, jj = self.steps[k ^ 1]
+            state = self.decode(key)
+            new = list(state)
+            for d, s in row:
+                new[d] += t * state[s]
+            new[ii] += 2 * t * state[ij] + state[jj]
+            key = self.encode(new)
         return path
 
     def advance(self, budget: int):
@@ -679,34 +730,50 @@ class _MeetInTheMiddle:
         seenA, seenB = self.seen
         heapA, heapB = self.heaps
         sides = ((seenA, heapA, seenB), (seenB, heapB, seenA))
-        children = self.children
+        children, weight, shifts = self.children, self.weights, self.shifts
+        half, mask = self.half, self.mask
+        cap, score_shift = self.cap, self.score_shift
         collision, pops = self.collision, self.pops
         while collision is None and pops < budget and (heapA or heapB):
             pops += 1
             for seen, heap, other in sides:
                 if collision is not None or not heap:
                     continue
-                score, state = heappop(heap)
-                # step(state, k) inlined, updating the score by the change
-                # in the entries it touches
-                for k, t, row, ii, ij, jj in children[seen[state]]:
-                    new = list(state)
-                    gain = 0
+                key = heappop(heap)
+                score = key >> score_shift
+                x = [((key >> shift) & mask) - half for shift in shifts]
+                for k, row, ii, ij, jj, ts in children[seen[key]]:
+                    # the child has x_d + t x_s on row i and x_ii + dx on the
+                    # diagonal, so its score gains 2(2t sum x_d x_s +
+                    # sum x_s^2) + dx (2 x_ii + dx), with t = +-1
+                    shift = cross = square = 0
                     for d, s in row:
-                        old = state[d]
-                        x = old + t * state[s]
-                        new[d] = x
-                        gain += x * x - old * old
-                    old = state[ii]
-                    x = old + 2 * t * state[ij] + state[jj]
-                    new[ii] = x
-                    key = tuple(new)
-                    if key in seen:
-                        continue
-                    seen[key] = k
-                    heappush(heap, (score + 2 * gain + x * x - old * old, key))
-                    if key in other:
-                        collision = key
+                        xs = x[s]
+                        shift += xs * weight[d]
+                        cross += x[d] * xs
+                        square += xs * xs
+                    cross, square = 4 * cross, 2 * square
+                    xij, xjj, xii = 2 * x[ij], x[jj], 2 * x[ii]
+                    for t in ts:
+                        dx = t * xij + xjj
+                        gain = t * cross + square + dx * (xii + dx)
+                        if score + gain >= cap:
+                            # weights and shifts change in place
+                            while score + gain >= self.cap:
+                                self.widen()
+                            half, mask = self.half, self.mask
+                            cap, score_shift = self.cap, self.score_shift
+                            key = self.encode(x)
+                            shift = sum(x[s] * weight[d] for d, s in row)
+                        child = key + t * shift + dx * weight[ii] + (gain << score_shift)
+                        if child in seen:
+                            continue
+                        seen[child] = k + (t > 0)
+                        heappush(heap, child)
+                        if child in other:
+                            collision = child
+                            break
+                    if collision is not None:
                         break
         self.collision, self.pops = collision, pops
         if collision is None:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -223,6 +224,24 @@ def test_scan_cubic_search_small(tmp_path):
     assert all(p["witness"] is not None for p in pairs)
     summary = next(l for l in lines if l["type"] == "cubic-search-summary")
     assert summary["pairs"] == 4
+
+
+# sha256 prefixes of stdout: a byte change in any of these reports is a
+# behaviour change that has to be made on purpose
+GOLDEN_STDOUT = [
+    (["invariants", DATA], "1b2b495c09af8c53"),
+    (["oracle-check", DATA], "8180cd406649e6bc"),
+    (["scan", DATA], "307d294faa018b46"),
+    (["scan", DATA, "--group-by-disc"], "2966a12c33d9dd54"),
+    (["scan", "--cubic-search", "3000", "--witness-bound", "8"], "c6f85d90db559677"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_STDOUT)
+def test_cli_stdout_is_pinned(capsys, argv, digest):
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 def test_scan_empty_input():

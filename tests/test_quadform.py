@@ -409,6 +409,111 @@ def test_meet_in_the_middle_witnesses_are_pinned():
     ]
 
 
+class TupleWalk:
+    """The walk as it was before its states were packed into ints: each
+    state a tuple, each heap entry a (score, state) pair.  The reference
+    that `_MeetInTheMiddle` must match pop for pop."""
+
+    def __init__(self, g1: GramMatrix, g2: GramMatrix):
+        n = g1.n
+        tri = [(r, c) for r in range(n) for c in range(r, n)]
+        pos = {}
+        for k, (r, c) in enumerate(tri):
+            pos[r, c] = pos[c, r] = k
+        self.n = n
+        self.moves = [
+            (i, j, t)
+            for i in range(n)
+            for j in range(n)
+            if i != j
+            for t in (-1, 1)
+        ]
+        self.steps = steps = [
+            (k, t, [(pos[i, c], pos[j, c]) for c in range(n) if c != i],
+             pos[i, i], pos[i, j], pos[j, j])
+            for k, (i, j, t) in enumerate(self.moves)
+        ]
+        # the moves to try from a state reached by move m, indexed by m;
+        # the last entry (index -1, a start) keeps them all
+        self.children = [
+            [s for s in steps if s[0] != m ^ 1] for m in range(len(steps))
+        ] + [steps]
+        startA = tuple(g1.entries[r][c] for r, c in tri)
+        startB = tuple(g2.entries[r][c] for r, c in tri)
+        self.seen = ({startA: -1}, {startB: -1})
+        self.heaps = (
+            [(sum(x * x for row in g1.entries for x in row), startA)],
+            [(sum(x * x for row in g2.entries for x in row), startB)],
+        )
+        self.collision = startA if startA in self.seen[1] else None
+        self.pops = 0
+
+    def step(self, state, k):
+        _, t, row, ii, ij, jj = self.steps[k]
+        new = list(state)
+        for d, s in row:
+            new[d] += t * state[s]
+        new[ii] += 2 * t * state[ij] + state[jj]
+        return tuple(new)
+
+    def walk_back(self, seen, state):
+        """Indices of the moves from the start to `state`, last first."""
+        path = []
+        while (k := seen[state]) >= 0:
+            path.append(k)
+            state = self.step(state, k ^ 1)
+        return path
+
+    def advance(self, budget: int):
+        """Continue to `budget` pops per side; the witness or None."""
+        from heapq import heappop, heappush
+
+        seenA, seenB = self.seen
+        heapA, heapB = self.heaps
+        sides = ((seenA, heapA, seenB), (seenB, heapB, seenA))
+        children = self.children
+        collision, pops = self.collision, self.pops
+        while collision is None and pops < budget and (heapA or heapB):
+            pops += 1
+            for seen, heap, other in sides:
+                if collision is not None or not heap:
+                    continue
+                score, state = heappop(heap)
+                # step(state, k) inlined, updating the score by the change
+                # in the entries it touches
+                for k, t, row, ii, ij, jj in children[seen[state]]:
+                    new = list(state)
+                    gain = 0
+                    for d, s in row:
+                        old = state[d]
+                        x = old + t * state[s]
+                        new[d] = x
+                        gain += x * x - old * old
+                    old = state[ii]
+                    x = old + 2 * t * state[ij] + state[jj]
+                    new[ii] = x
+                    key = tuple(new)
+                    if key in seen:
+                        continue
+                    seen[key] = k
+                    heappush(heap, (score + 2 * gain + x * x - old * old, key))
+                    if key in other:
+                        collision = key
+                        break
+        self.collision, self.pops = collision, pops
+        if collision is None:
+            return None
+        n = self.n
+        u = [[int(r == c) for c in range(n)] for r in range(n)]
+        path = self.walk_back(seenA, collision)[::-1]
+        path += [k ^ 1 for k in self.walk_back(seenB, collision)]
+        for k in path:
+            i, j, t = self.moves[k]
+            for row in u:
+                row[i] += t * row[j]
+        return u
+
+
 # (entries, column moves col_i += t col_j) for forms of dimension 2 and 4
 MOVED_FORMS = [
     ([[2, 1], [1, -3]], [(0, 1, 2), (1, 0, -1), (0, 1, 1)]),
@@ -472,6 +577,40 @@ def test_bound_schedule_matches_restarting_at_each_bound(pair):
             break
     assert restarted is not None
     assert _witness_search(*pair, range(1, 9)) == restarted
+
+
+@pytest.mark.parametrize("slack", [0, _MeetInTheMiddle.WIDTH_SLACK])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_packed_walk_matches_the_tuple_walk(monkeypatch, n, slack):
+    # isometric pairs collide, random pairs mostly run out of budget;
+    # slack 0 starts at the least width and forces re-encoding
+    monkeypatch.setattr(_MeetInTheMiddle, "WIDTH_SLACK", slack)
+    rng = random.Random(600 + n)
+    for case in range(8):
+        g = random_gram(rng, n, span=4)
+        if case % 2:
+            h = random_gram(rng, n, span=4)
+        else:
+            h = transformed(g, random_unimodular(rng, n, steps=6))
+        walk, ref = _MeetInTheMiddle(g, h), TupleWalk(g, h)
+        for budget in (0, 1, 2, 5, 17, 60, 200):
+            assert walk.advance(budget) == ref.advance(budget), (g, h, budget)
+            assert walk.pops == ref.pops
+
+
+@pytest.mark.parametrize("pair", [PAIR_1228, PAIR_8972])
+def test_packed_walk_widens_without_changing_the_walk(monkeypatch, pair):
+    monkeypatch.setattr(_MeetInTheMiddle, "WIDTH_SLACK", 0)
+    red1, _ = reduce_gram(pair[0])
+    red2, _ = reduce_gram(pair[1])
+    walk, ref = _MeetInTheMiddle(red1, red2), TupleWalk(red1, red2)
+    start = walk.width
+    for budget in (10, 2000, 4000, 6226, 16000):
+        assert walk.advance(budget) == ref.advance(budget)
+        assert walk.pops == ref.pops
+    assert walk.collision is not None
+    assert walk.width > start
+    test_meet_in_the_middle_witnesses_are_pinned()
 
 
 def test_witness_search_screens_out_different_signatures(monkeypatch):
