@@ -540,17 +540,28 @@ def diagonal_local_symbol_odd(form: DiagonalForm, p: int):
 # isometry witnesses
 
 
+def _round_div(a: int, b: int) -> int:
+    """round(a / b) for b != 0, halves to even, in integers."""
+    if b < 0:
+        a, b = -a, -b
+    q, r = divmod(a, b)
+    if 2 * r > b or (2 * r == b and q % 2):
+        q += 1
+    return q
+
+
 def reduce_gram(gram: GramMatrix):
     """Greedy size reduction by integer congruences.
 
     Returns (reduced GramMatrix, U) with U^T * gram * U = reduced and
     det(U) = +-1.  Works for indefinite forms; it only ever accepts moves
-    that shrink the sum of squared entries, so it terminates.
+    that shrink the sum of squared entries, so it terminates.  The move
+    row i += t * row j, column i += t * column j changes only row and
+    column i, so each trial is scored from the change to those entries.
     """
     n = gram.n
     a = [list(r) for r in gram.entries]
     u = [[int(i == j) for j in range(n)] for i in range(n)]
-    current = sum(x * x for row in a for x in row)
     improved = True
     while improved:
         improved = False
@@ -560,19 +571,21 @@ def reduce_gram(gram: GramMatrix):
                     continue
                 candidates = {-1, 1, -2, 2}
                 if a[j][j] != 0:
-                    candidates.add(-round(Fraction(a[i][j], a[j][j])))
+                    candidates.add(-_round_div(a[i][j], a[j][j]))
+                ai, aj = a[i], a[j]
                 for t in sorted(candidates):
                     if t == 0:
                         continue
-                    b = [row[:] for row in a]
-                    for c in range(n):
-                        b[i][c] += t * b[j][c]
-                    for r in range(n):
-                        b[r][i] += t * b[r][j]
-                    score = sum(x * x for row in b for x in row)
-                    if score < current:
-                        a = b
-                        current = score
+                    # off-diagonal entries of row i count twice in the sum
+                    gain = 2 * sum((ai[c] + t * aj[c]) ** 2 - ai[c] ** 2
+                                   for c in range(n) if c != i)
+                    ii = ai[i] + 2 * t * ai[j] + t * t * aj[j]
+                    if gain + ii * ii - ai[i] * ai[i] < 0:
+                        for c in range(n):
+                            if c != i:
+                                ai[c] += t * aj[c]
+                                a[c][i] = ai[c]
+                        ai[i] = ii
                         for c in range(n):
                             u[i][c] += t * u[j][c]
                         improved = True
@@ -595,38 +608,42 @@ def _congruent(u, g: GramMatrix, h: GramMatrix) -> bool:
 class _MeetInTheMiddle:
     """Resumable witness walk via a common small congruence image of two forms.
 
-    Both forms walk cheapest-first through the elementary congruence moves
-    (i, j, t), i != j and t in (-1, 1), listed in that order: row i += t *
-    row j, then column i += t * column j.  The walks strictly alternate
-    sides and stop at the first state reached from both, which composes to
-    a witness.  `advance(budget)` expands states until `budget` pops per
-    side in total and returns the witness or None.  The walk keeps its heaps
-    and `seen` maps between calls, so advancing to budget b1 and then b2
-    pops exactly the states that one walk to b2 pops and returns the same
-    result.
+    A walk state is a whole class {S^T A S} of Gram matrices modulo the
+    signed permutation matrices S (2^n n! of them; -I acts trivially),
+    stored as its canonical representative (see `canonical`).  Both forms
+    walk cheapest-first through the classes reached by the elementary
+    congruence moves (i, j, t), i != j and t in (-1, 1), listed in that
+    order: row i += t * row j, then column i += t * column j, each child
+    canonicalised.  The walks strictly alternate sides and stop at the
+    first class reached from both, which composes to a witness.
+    `advance(budget)` expands classes until `budget` pops per side in total
+    and returns the witness or None.  The walk keeps its heaps and `seen`
+    maps between calls, so advancing to budget b1 and then b2 pops exactly
+    the states that one walk to b2 pops and returns the same result.
 
     This loop dominates the hard-pair search cost, so each state is one
-    int.  A state's entries x_0..x_{m-1} are the upper triangle of its Gram
-    matrix, row by row (m = n(n+1)/2), and its score is the full matrix's
-    sum of squares; its key is score * 2^(mW) + sum (x_i + 2^(W-1)) *
-    2^(W(m-1-i)).  While score < 2^(2W-2) every |x_i| < 2^(W-1), so int
-    order on keys is (score, upper triangle) order, and for symmetric
-    matrices that is the order on (score, full row-major matrix): heaps of
-    keys pop states cheapest first with a fixed tie order.  W is picked
-    from the start scores; when a child's score reaches 2^(2W-2), W doubles
-    and every key in both heaps and both `seen` maps is re-encoded, a
-    monotone map, so the heaps stay heaps and the walk is unchanged.
+    int.  A state's entries x_0..x_{m-1} (m = n(n+1)/2) are its diagonal,
+    then its off-diagonal upper triangle row by row, and its score is the
+    full matrix's sum of squares, the same for every member of the class;
+    its key is score * 2^(mW) + sum (x_i + 2^(W-1)) * 2^(W(m-1-i)).  While
+    score < 2^(2W-2) every |x_i| < 2^(W-1), so int order on keys is the
+    order on (score, x): heaps of keys pop states cheapest first with a
+    fixed tie order.  W is picked from the start scores; when a child's
+    score reaches 2^(2W-2), W doubles and every key in both heaps and both
+    `seen` maps is re-encoded, a monotone map, so the heaps stay heaps and
+    the walk is unchanged.
 
     A move changes only row and column i: a_ic += t a_jc for c != i and
-    a_ii += 2t a_ij + a_jj, so a child's key is its parent's key plus the
-    changes to those 2n - 1 entries and to the score, and the moves
-    (i, j, -1) and (i, j, 1) share the sums over row i that give them.
-    `seen` maps a key to the index of the move that first reached it (-1
-    for a start), and move k ^ 1 undoes move k, so a popped state skips the
-    undo of the move that reached it: that child is its parent, already
-    seen.  At the collision both sides are walked back to their starts:
-    side A's moves replayed on the identity give U1, and side B's undo
-    moves applied after them give U1 * U2^-1 exactly.
+    a_ii += 2t a_ij + a_jj, so a child's score is its parent's plus the
+    changes to those 2n - 1 entries, and the moves (i, j, -1) and (i, j, 1)
+    share the sums over row i that give them.  `seen` maps a key to one
+    small int naming the move that first reached it (or the start) and the
+    signed permutation S that took the moved matrix to the canonical one;
+    the ints come from per-S tables, so states share them.  The child that
+    undoes the move into a class canonicalises to that class, already seen.
+    At the collision both sides are walked back to their starts, undoing S
+    and then the move at each step: U_X = S_0 M_1 S_1 ... M_l S_l carries
+    side X's start to the collision state, and U_A * U_B^-1 is the witness.
     """
 
     # bits of W above the least width that fits the start scores
@@ -634,11 +651,12 @@ class _MeetInTheMiddle:
 
     def __init__(self, g1: GramMatrix, g2: GramMatrix):
         n = g1.n
-        tri = [(r, c) for r in range(n) for c in range(r, n)]
-        pos = {}
+        tri = [(r, r) for r in range(n)]
+        tri += [(r, c) for r in range(n) for c in range(r + 1, n)]
+        self.pos = pos = {}
         for k, (r, c) in enumerate(tri):
             pos[r, c] = pos[c, r] = k
-        self.n, self.m = n, len(tri)
+        self.n, self.m, self.tri = n, len(tri), tri
         # the full matrix counts each off-diagonal entry twice
         self.mult = [1 if r == c else 2 for r, c in tri]
         self.moves = [
@@ -648,32 +666,106 @@ class _MeetInTheMiddle:
             if i != j
             for t in (-1, 1)
         ]
-        self.steps = steps = [
-            (k, t, [(pos[i, c], pos[j, c]) for c in range(n) if c != i],
+        self.steps = [
+            (t, [(pos[i, c], pos[j, c]) for c in range(n) if c != i],
              pos[i, i], pos[i, j], pos[j, j])
-            for k, (i, j, t) in enumerate(self.moves)
+            for i, j, t in self.moves
         ]
         # moves (i, j, -1) and (i, j, 1) are k and k + 1 for even k and
-        # share their sums over row i: one entry per pair, with the t to try
-        pairs = [(k, row, ii, ij, jj) for k, _, row, ii, ij, jj in steps[::2]]
-        # the pairs to try from a state reached by move m, indexed by m,
-        # without the undo m ^ 1; the last entry (index -1, a start) keeps
-        # every move
-        self.children = [
-            [(*pair, (-1, 1) if pair[0] != m & ~1 else (self.moves[m][2],))
-             for pair in pairs]
-            for m in range(len(steps))
-        ] + [[(*pair, (-1, 1)) for pair in pairs]]
-        startA = [g1.entries[r][c] for r, c in tri]
-        startB = [g2.entries[r][c] for r, c in tri]
+        # share their sums over row i
+        self.pairs = [(k, *self.steps[k][1:]) for k in range(0, len(self.moves), 2)]
+        # canonical() reads a permuted state through gathers[perm] and
+        # negates the entries flips[signs]; codes and signed list the signed
+        # permutations met so far
+        self.gathers, self.flips = {}, {}
+        self.codes, self.signed = {}, []
+        startA, spA = self.canonical([g1.entries[r][c] for r, c in tri])
+        startB, spB = self.canonical([g2.entries[r][c] for r, c in tri])
         top = max(self.score(startA), self.score(startB))
         self.weights, self.shifts = [0] * self.m, [0] * self.m
         self.set_width((top.bit_length() + 3) // 2 + self.WIDTH_SLACK)
         keyA, keyB = self.encode(startA), self.encode(startB)
-        self.seen = ({keyA: -1}, {keyB: -1})
+        start = len(self.moves)
+        self.seen = ({keyA: self.code(spA)[start]}, {keyB: self.code(spB)[start]})
         self.heaps = ([keyA], [keyB])
         self.collision = keyA if keyA in self.seen[1] else None
         self.pops = 0
+
+    def canonical(self, state):
+        """The least (diagonal, off-diagonal) state of the class of `state`,
+        and the signed permutation (perm, signs) that gives it.
+
+        The least diagonal is the sorted one, so only the permutations that
+        sort it are tried: one when the diagonal entries are distinct.  For
+        each, signs are chosen greedily in key order, each off-diagonal
+        entry whose sign is still free made <= 0: with S e_r = signs[r] *
+        e_perm[r] the entry (r, c) is signs[r] * signs[c] * a_perm[r]perm[c].
+        Signs of the least index of each component of the graph of nonzero
+        entries are +1, and among permutations giving the same state the
+        lexicographically least is kept, so the result is a function of the
+        state.
+        """
+        n = self.n
+        diag = state[:n]
+        perm = tuple(sorted(range(n), key=diag.__getitem__))
+        if len(set(diag)) == n:
+            perms = (perm,)
+        else:
+            runs = [list(g) for _, g in itertools.groupby(perm, diag.__getitem__)]
+            perms = [sum(p, ()) for p in
+                     itertools.product(*(itertools.permutations(r) for r in runs))]
+        gathers, flips = self.gathers, self.flips
+        best = None
+        for p in perms:
+            gather = gathers.get(p)
+            if gather is None:
+                gather = gathers[p] = [self.pos[p[r], p[c]] for r, c in self.tri]
+            x = [state[q] for q in gather]
+            row0 = x[n:2 * n - 1]
+            if all(row0):
+                signs = (1, *[-1 if a > 0 else 1 for a in row0])
+            else:
+                signs = self._greedy_signs(x)
+            # the off-diagonal entries the signs negate
+            flip = flips.get(signs)
+            if flip is None:
+                flip = flips[signs] = [k for k, (r, c) in enumerate(self.tri)
+                                       if signs[r] != signs[c]]
+            for k in flip:
+                x[k] = -x[k]
+            if best is None or x < best:
+                best, sp = x, (p, signs)
+        return tuple(best), sp
+
+    def _greedy_signs(self, x):
+        """Signs for `canonical` by a parity union-find over the indices."""
+        n = self.n
+        signs, comp = [1] * n, list(range(n))
+        for k in range(n, self.m):
+            r, c = self.tri[k]
+            a, cr, cc = x[k], comp[r], comp[c]
+            if a == 0 or cr == cc:
+                continue
+            # merge into the component of the lesser least index, flipping
+            # the other so that this entry becomes negative
+            lo, hi = (cr, cc) if cr < cc else (cc, cr)
+            flip = signs[r] * signs[c] * a > 0
+            for v in range(n):
+                if comp[v] == hi:
+                    comp[v] = lo
+                    if flip:
+                        signs[v] = -signs[v]
+        return tuple(signs)
+
+    def code(self, sp):
+        """The `seen` values for the signed permutation sp, one per move
+        and a last one for a start."""
+        row = self.codes.get(sp)
+        if row is None:
+            base = len(self.signed) * (len(self.moves) + 1)
+            self.signed.append(sp)
+            row = self.codes[sp] = [base + k for k in range(len(self.moves) + 1)]
+        return row
 
     def score(self, state) -> int:
         return sum(w * x * x for w, x in zip(self.mult, state))
@@ -710,28 +802,39 @@ class _MeetInTheMiddle:
             seen.update((self.encode(x), v) for x, v in sstates)
 
     def walk_back(self, seen, key):
-        """Indices of the moves from the start to `key`, last first."""
-        path = []
-        while (k := seen[key]) >= 0:
-            path.append(k)
-            _, t, row, ii, ij, jj = self.steps[k ^ 1]
+        """The start's signed permutation and the (move, signed permutation)
+        steps from the start to `key`, last first."""
+        path, start, pos = [], len(self.moves), self.pos
+        while True:
+            index, k = divmod(seen[key], start + 1)
+            perm, signs = sp = self.signed[index]
+            if k == start:
+                return sp, path
+            path.append((k, sp))
+            # undo S: a_perm[r]perm[c] = signs[r] * signs[c] * x_rc
             state = self.decode(key)
-            new = list(state)
+            raw = [0] * self.m
+            for x, (r, c) in zip(state, self.tri):
+                raw[pos[perm[r], perm[c]]] = signs[r] * signs[c] * x
+            # then undo the move
+            t, row, ii, ij, jj = self.steps[k ^ 1]
+            new = list(raw)
             for d, s in row:
-                new[d] += t * state[s]
-            new[ii] += 2 * t * state[ij] + state[jj]
+                new[d] += t * raw[s]
+            new[ii] += 2 * t * raw[ij] + raw[jj]
             key = self.encode(new)
-        return path
 
     def advance(self, budget: int):
         """Continue to `budget` pops per side; the witness or None."""
         from heapq import heappop, heappush
+        from operator import mul
 
         seenA, seenB = self.seen
         heapA, heapB = self.heaps
         sides = ((seenA, heapA, seenB), (seenB, heapB, seenA))
-        children, weight, shifts = self.children, self.weights, self.shifts
-        half, mask = self.half, self.mask
+        pairs, weight, shifts = self.pairs, self.weights, self.shifts
+        canonical, code = self.canonical, self.code
+        half, mask, offset = self.half, self.mask, self.offset
         cap, score_shift = self.cap, self.score_shift
         collision, pops = self.collision, self.pops
         while collision is None and pops < budget and (heapA or heapB):
@@ -742,33 +845,35 @@ class _MeetInTheMiddle:
                 key = heappop(heap)
                 score = key >> score_shift
                 x = [((key >> shift) & mask) - half for shift in shifts]
-                for k, row, ii, ij, jj, ts in children[seen[key]]:
+                for k, row, ii, ij, jj in pairs:
                     # the child has x_d + t x_s on row i and x_ii + dx on the
                     # diagonal, so its score gains 2(2t sum x_d x_s +
                     # sum x_s^2) + dx (2 x_ii + dx), with t = +-1
-                    shift = cross = square = 0
+                    cross = square = 0
                     for d, s in row:
                         xs = x[s]
-                        shift += xs * weight[d]
                         cross += x[d] * xs
                         square += xs * xs
                     cross, square = 4 * cross, 2 * square
                     xij, xjj, xii = 2 * x[ij], x[jj], 2 * x[ii]
-                    for t in ts:
+                    for t in (-1, 1):
                         dx = t * xij + xjj
-                        gain = t * cross + square + dx * (xii + dx)
-                        if score + gain >= cap:
-                            # weights and shifts change in place
-                            while score + gain >= self.cap:
+                        child_score = score + t * cross + square + dx * (xii + dx)
+                        y = x[:]
+                        for d, s in row:
+                            y[d] += t * x[s]
+                        y[ii] += dx
+                        state, sp = canonical(y)
+                        if child_score >= cap:
+                            # weights change in place
+                            while child_score >= self.cap:
                                 self.widen()
-                            half, mask = self.half, self.mask
+                            half, mask, offset = self.half, self.mask, self.offset
                             cap, score_shift = self.cap, self.score_shift
-                            key = self.encode(x)
-                            shift = sum(x[s] * weight[d] for d, s in row)
-                        child = key + t * shift + dx * weight[ii] + (gain << score_shift)
+                        child = (child_score << score_shift) + offset + sum(map(mul, state, weight))
                         if child in seen:
                             continue
-                        seen[child] = k + (t > 0)
+                        seen[child] = code(sp)[k + (t > 0)]
                         heappush(heap, child)
                         if child in other:
                             collision = child
@@ -780,18 +885,36 @@ class _MeetInTheMiddle:
             return None
         n = self.n
         u = [[int(r == c) for c in range(n)] for r in range(n)]
-        path = self.walk_back(seenA, collision)[::-1]
-        path += [k ^ 1 for k in self.walk_back(seenB, collision)]
-        for k in path:
+
+        def move(k):
             i, j, t = self.moves[k]
             for row in u:
                 row[i] += t * row[j]
+
+        def times(sp):
+            # column r of u S is signs[r] times column perm[r] of u
+            perm, signs = sp
+            u[:] = [[s * row[p] for p, s in zip(perm, signs)] for row in u]
+
+        def inverse(sp):
+            # S^-1 = S^T sends e_perm[r] to signs[r] * e_r
+            perm, signs = sp
+            inv_perm, inv_signs = [0] * n, [0] * n
+            for r, (p, s) in enumerate(zip(perm, signs)):
+                inv_perm[p], inv_signs[p] = r, s
+            return inv_perm, inv_signs
+
+        startA, pathA = self.walk_back(seenA, collision)
+        startB, pathB = self.walk_back(seenB, collision)
+        times(startA)
+        for k, sp in reversed(pathA):
+            move(k)
+            times(sp)
+        for k, sp in pathB:
+            times(inverse(sp))
+            move(k ^ 1)
+        times(inverse(startB))
         return u
-
-
-def _meet_in_the_middle(g1: GramMatrix, g2: GramMatrix, budget: int):
-    """Witness from a fresh walk of `budget` pops per side, or None."""
-    return _MeetInTheMiddle(g1, g2).advance(budget)
 
 
 def isometry_witness_search(g1: GramMatrix, g2: GramMatrix, bound: int):
@@ -800,11 +923,11 @@ def isometry_witness_search(g1: GramMatrix, g2: GramMatrix, bound: int):
     Strategy: size-reduce both forms, run a column DFS with entries in
     [-bound, bound] in reduced coordinates (the last column is solved
     exactly from the linear constraints plus the quadratic one), and fall
-    back to a meet-in-the-middle walk through small congruence images with
-    budget 2000 * bound.  Forms of different determinant or signature are
-    screened out before any search.  Every returned witness is mapped back
-    to the original bases and re-verified exactly; None never certifies
-    non-isometry.
+    back to a meet-in-the-middle walk through congruence classes modulo
+    signed permutations with budget 2000 * bound.  Forms of different genus
+    are screened out before any search.  Every returned witness is mapped
+    back to the original bases and re-verified exactly; None never
+    certifies non-isometry.
     """
     return _witness_search(g1, g2, (bound,))
 
@@ -812,28 +935,32 @@ def isometry_witness_search(g1: GramMatrix, g2: GramMatrix, bound: int):
 def _witness_search(g1: GramMatrix, g2: GramMatrix, bounds):
     """The first witness over a schedule of bounds, or None.
 
-    Each form is reduced once and one meet-in-the-middle walk serves the
-    whole schedule: at each bound the box search runs, then the walk is
+    Forms of different genus are not isometric, so `genus_equal` (dimension,
+    determinant and signature first) screens them out before any reduction
+    or search.  Otherwise each form is reduced once and one
+    meet-in-the-middle walk over classes modulo signed permutations serves
+    the whole schedule: at each bound the box search runs, then the walk is
     advanced to 2000 * bound pops.  A walk that failed at budget b made no
     collision in its first b pops, so resuming it returns what a fresh walk
     at the larger budget returns, and the result equals that of searching
     at each bound in turn with a fresh walk.  Each bound is checked
-    (positive, then within the search-space limit) before the screens run
+    (positive, then within the search-space limit) before the screen runs
     at it.
     """
     if g1.n != g2.n:
         raise HypothesisError("witness search needs equal dimensions")
     n = g1.n
-    walk = None
+    same_genus = walk = None
     for bound in bounds:
         if bound < 1:
             raise FormRangeError("bound must be positive")
         if (2 * bound + 1) ** n > 5_000_000:
             raise LimitError("witness search space too large")
+        if same_genus is None:
+            same_genus = genus_equal(g1, g2)
+        if not same_genus:
+            continue
         if walk is None:
-            # no isometry exists across determinants or signatures
-            if g1.det != g2.det or signature(g1) != signature(g2):
-                continue
             red1, u1 = reduce_gram(g1)
             red2, u2 = reduce_gram(g2)
             walk = _MeetInTheMiddle(red1, red2)
@@ -941,10 +1068,11 @@ def pairwise_witnesses(grams, bound: int):
     Returns {(i, j): U or None} for i < j.  Found witnesses are composed
     transitively (and inverted) before any direct search runs, so a
     spanning tree of direct hits covers the whole family; every returned
-    matrix is re-verified exactly.  A direct search runs the schedule
-    (2, bound): the box search and the meet-in-the-middle walk at bound 2,
-    then the box search at `bound` and the same walk resumed to 2000 *
-    bound pops, with both forms reduced once.
+    matrix is re-verified exactly.  A direct search first screens the pair
+    with `genus_equal`, then runs the schedule (2, bound): the box search
+    and the meet-in-the-middle walk over classes modulo signed permutations
+    at bound 2, then the box search at `bound` and the same walk resumed to
+    2000 * bound pops, with both forms reduced once.
     """
     from collections import deque
 

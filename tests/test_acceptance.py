@@ -182,6 +182,20 @@ def test_criterion_4_cubic_isometry_theorem(cubic_run):
     )
 
 
+def test_criterion_4_every_complex_pair_has_a_witness(cubic_run):
+    # the meet-in-the-middle walk over classes modulo signed permutations
+    # reaches every one of the 333 complex pairs at |disc| <= 20000
+    pairs = [
+        (c1.poly, c2.poly)
+        for group in cubic_run["groups"]
+        if group[0].disc < 0
+        for c1, c2 in itertools.combinations(group, 2)
+    ]
+    missing = [pair for pair in pairs if cubic_run["witnesses"].get(pair) is None]
+    assert len(pairs) == 333
+    assert missing == []
+
+
 def test_criterion_5_cubic_spinor_theorem(cubic_run):
     pairs = 0
     for group in cubic_run["groups"]:

@@ -233,7 +233,7 @@ GOLDEN_STDOUT = [
     (["oracle-check", DATA], "8180cd406649e6bc"),
     (["scan", DATA], "307d294faa018b46"),
     (["scan", DATA, "--group-by-disc"], "2966a12c33d9dd54"),
-    (["scan", "--cubic-search", "3000", "--witness-bound", "8"], "c6f85d90db559677"),
+    (["scan", "--cubic-search", "3000", "--witness-bound", "8"], "7a9613bd253fcabd"),
 ]
 
 

@@ -10,7 +10,7 @@ import pytest
 from _optimized import run_optimized
 from traceforms.cli import ingest
 from traceforms.errors import HypothesisError, SingularFormError
-from traceforms.linalg import det_int, mat_mul, transpose
+from traceforms.linalg import det_int, mat_mul, transpose, unimodular_inverse
 from traceforms.numberfield import field_from_record, trace_gram
 from traceforms.padic import (
     check_spot,
@@ -31,7 +31,7 @@ from traceforms.quadform import (
     genus_symbol,
     hasse_witt,
     _MeetInTheMiddle,
-    _meet_in_the_middle,
+    _round_div,
     _witness_search,
     isometry_witness_search,
     local_symbol_odd,
@@ -397,30 +397,42 @@ PAIR_8972 = (GramMatrix([[3, 0, 16], [0, 32, -66], [16, -66, 128]]),
 
 def test_meet_in_the_middle_witnesses_are_pinned():
     # the box search misses both pairs, so these come from the
-    # meet-in-the-middle fallback (budgets 4000 and 16000)
-    assert isometry_witness_search(*PAIR_1228, 2) == [
-        [1035, 1910, 742], [224, 416, 159], [630, 1167, 449]
+    # meet-in-the-middle fallback (collisions at pops 45 and 263)
+    pins = [
+        (PAIR_1228, [[2125, 3140, 1992], [317, 467, 298], [1034, 1525, 971]]),
+        (PAIR_8972, [[3971, 16544, -8138], [109646, 456794, -224749],
+                     [44441, 185145, -91093]]),
     ]
-    assert isometry_witness_search(*PAIR_8972, 2) is None
-    assert isometry_witness_search(*PAIR_8972, 8) == [
-        [3971, 16544, -8138],
-        [109646, 456794, -224749],
-        [44441, 185145, -91093],
-    ]
+    for (g1, g2), u in pins:
+        assert transformed(g1, u).entries == g2.entries
+        assert abs(det_int(u)) == 1
+        assert isometry_witness_search(g1, g2, 1) == u
+        assert isometry_witness_search(g1, g2, 8) == u
+
+
+def signed_permutations(n):
+    """Every (perm, signs, S) with S e_r = signs[r] * e_perm[r], permutations
+    in lexicographic order, then signs with +1 before -1."""
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            s = [[0] * n for _ in range(n)]
+            for r in range(n):
+                s[perm[r]][r] = signs[r]
+            yield perm, signs, s
 
 
 class TupleWalk:
-    """The walk as it was before its states were packed into ints: each
-    state a tuple, each heap entry a (score, state) pair.  The reference
-    that `_MeetInTheMiddle` must match pop for pop."""
+    """The walk over classes modulo signed permutations with each state a
+    tuple and each heap entry a (score, state) pair, canonicalised by trying
+    every signed permutation S and computing S^T A S.  The reference that
+    `_MeetInTheMiddle` must match pop for pop."""
 
     def __init__(self, g1: GramMatrix, g2: GramMatrix):
         n = g1.n
-        tri = [(r, c) for r in range(n) for c in range(r, n)]
-        pos = {}
-        for k, (r, c) in enumerate(tri):
-            pos[r, c] = pos[c, r] = k
         self.n = n
+        self.tri = [(r, r) for r in range(n)]
+        self.tri += [(r, c) for r in range(n) for c in range(r + 1, n)]
+        self.signed = list(signed_permutations(n))
         self.moves = [
             (i, j, t)
             for i in range(n)
@@ -428,41 +440,38 @@ class TupleWalk:
             if i != j
             for t in (-1, 1)
         ]
-        self.steps = steps = [
-            (k, t, [(pos[i, c], pos[j, c]) for c in range(n) if c != i],
-             pos[i, i], pos[i, j], pos[j, j])
-            for k, (i, j, t) in enumerate(self.moves)
-        ]
-        # the moves to try from a state reached by move m, indexed by m;
-        # the last entry (index -1, a start) keeps them all
-        self.children = [
-            [s for s in steps if s[0] != m ^ 1] for m in range(len(steps))
-        ] + [steps]
-        startA = tuple(g1.entries[r][c] for r, c in tri)
-        startB = tuple(g2.entries[r][c] for r, c in tri)
-        self.seen = ({startA: -1}, {startB: -1})
-        self.heaps = (
-            [(sum(x * x for row in g1.entries for x in row), startA)],
-            [(sum(x * x for row in g2.entries for x in row), startB)],
-        )
+        startA, sA = self.canonical(g1.entries)
+        startB, sB = self.canonical(g2.entries)
+        self.seen = ({startA: (None, sA)}, {startB: (None, sB)})
+        self.heaps = ([(self.score(startA), startA)], [(self.score(startB), startB)])
         self.collision = startA if startA in self.seen[1] else None
         self.pops = 0
 
-    def step(self, state, k):
-        _, t, row, ii, ij, jj = self.steps[k]
-        new = list(state)
-        for d, s in row:
-            new[d] += t * state[s]
-        new[ii] += 2 * t * state[ij] + state[jj]
-        return tuple(new)
+    def matrix(self, state):
+        a = [[0] * self.n for _ in range(self.n)]
+        for x, (r, c) in zip(state, self.tri):
+            a[r][c] = a[c][r] = x
+        return a
 
-    def walk_back(self, seen, state):
-        """Indices of the moves from the start to `state`, last first."""
-        path = []
-        while (k := seen[state]) >= 0:
-            path.append(k)
-            state = self.step(state, k ^ 1)
-        return path
+    def score(self, state):
+        return sum(x * x for row in self.matrix(state) for x in row)
+
+    def canonical(self, a):
+        """The least S^T A S as a tuple (diagonal, then the upper triangle
+        row by row), and the first S that gives it."""
+        best = None
+        for perm, signs, s in self.signed:
+            # (S^T A S)_rc = signs[r] * signs[c] * a_perm[r]perm[c]
+            state = tuple(signs[r] * signs[c] * a[perm[r]][perm[c]] for r, c in self.tri)
+            if best is None or state < best:
+                best, best_s = state, s
+        return best, best_s
+
+    def move_matrix(self, k):
+        i, j, t = self.moves[k]
+        m = [[int(r == c) for c in range(self.n)] for r in range(self.n)]
+        m[j][i] = t
+        return m
 
     def advance(self, budget: int):
         """Continue to `budget` pops per side; the witness or None."""
@@ -471,46 +480,48 @@ class TupleWalk:
         seenA, seenB = self.seen
         heapA, heapB = self.heaps
         sides = ((seenA, heapA, seenB), (seenB, heapB, seenA))
-        children = self.children
         collision, pops = self.collision, self.pops
         while collision is None and pops < budget and (heapA or heapB):
             pops += 1
             for seen, heap, other in sides:
                 if collision is not None or not heap:
                     continue
-                score, state = heappop(heap)
-                # step(state, k) inlined, updating the score by the change
-                # in the entries it touches
-                for k, t, row, ii, ij, jj in children[seen[state]]:
-                    new = list(state)
-                    gain = 0
-                    for d, s in row:
-                        old = state[d]
-                        x = old + t * state[s]
-                        new[d] = x
-                        gain += x * x - old * old
-                    old = state[ii]
-                    x = old + 2 * t * state[ij] + state[jj]
-                    new[ii] = x
-                    key = tuple(new)
-                    if key in seen:
+                _, state = heappop(heap)
+                a = self.matrix(state)
+                for k in range(len(self.moves)):
+                    m = self.move_matrix(k)
+                    child, s = self.canonical(mat_mul(transpose(m), mat_mul(a, m)))
+                    if child in seen:
                         continue
-                    seen[key] = k
-                    heappush(heap, (score + 2 * gain + x * x - old * old, key))
-                    if key in other:
-                        collision = key
+                    seen[child] = (k, s)
+                    heappush(heap, (self.score(child), child))
+                    if child in other:
+                        collision = child
                         break
         self.collision, self.pops = collision, pops
         if collision is None:
             return None
-        n = self.n
-        u = [[int(r == c) for c in range(n)] for r in range(n)]
-        path = self.walk_back(seenA, collision)[::-1]
-        path += [k ^ 1 for k in self.walk_back(seenB, collision)]
-        for k in path:
-            i, j, t = self.moves[k]
-            for row in u:
-                row[i] += t * row[j]
+        return mat_mul(self.path_matrix(seenA, collision),
+                       unimodular_inverse(self.path_matrix(seenB, collision)))
+
+    def path_matrix(self, seen, state):
+        """U with U^T (start) U = state: the start's S, then each move and
+        its S, read by undoing them from `state` back to the start."""
+        factors = []
+        while True:
+            k, s = seen[state]
+            factors.append(s)
+            if k is None:
+                break
+            factors.append(self.move_matrix(k))
+            # undo S, then the move
+            a = mat_mul(s, mat_mul(self.matrix(state), transpose(s)))
+            m = unimodular_inverse(self.move_matrix(k))
+            state = tuple(tuple(r) for r in mat_mul(transpose(m), mat_mul(a, m)))
+            state = tuple(state[r][c] for r, c in self.tri)
+        u = [[int(r == c) for c in range(self.n)] for r in range(self.n)]
+        for f in reversed(factors):
+            u = mat_mul(u, f)
         return u
 
 
@@ -539,7 +550,7 @@ def test_meet_in_the_middle_outside_dimension_three(entries, moves):
     g, h = moved_form(entries, moves)
     assert h.entries != g.entries
     for budget in (10, 1000):
-        w = _meet_in_the_middle(g, h, budget)
+        w = _MeetInTheMiddle(g, h).advance(budget)
         assert w is not None
         assert transformed(g, w).entries == h.entries
         assert abs(det_int(w)) == 1
@@ -551,21 +562,21 @@ def test_resumed_walk_matches_a_fresh_walk(entries, moves):
     g, h = moved_form(entries, moves)
     walk = _MeetInTheMiddle(g, h)
     for budget in [*range(10), 1000]:
-        assert walk.advance(budget) == _meet_in_the_middle(g, h, budget)
+        assert walk.advance(budget) == _MeetInTheMiddle(g, h).advance(budget)
 
 
 def test_resumed_walk_matches_a_fresh_walk_on_a_pinned_pair():
-    # the first collision of this walk comes at pop 6227
+    # the first collision of this walk comes at pop 263
     red1, _ = reduce_gram(PAIR_8972[0])
     red2, _ = reduce_gram(PAIR_8972[1])
     walk = _MeetInTheMiddle(red1, red2)
-    assert walk.advance(4000) is None
-    assert walk.advance(2000) is None
-    assert walk.advance(6226) is None
+    assert walk.advance(200) is None
+    assert walk.advance(100) is None
+    assert walk.advance(262) is None
     found = walk.advance(16000)
-    assert found is not None
-    assert found == _meet_in_the_middle(red1, red2, 16000)
-    assert _meet_in_the_middle(red1, red2, 6226) is None
+    assert found is not None and walk.pops == 263
+    assert found == _MeetInTheMiddle(red1, red2).advance(16000)
+    assert _MeetInTheMiddle(red1, red2).advance(262) is None
 
 
 @pytest.mark.parametrize("pair", [PAIR_1228, PAIR_8972])
@@ -583,19 +594,43 @@ def test_bound_schedule_matches_restarting_at_each_bound(pair):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_packed_walk_matches_the_tuple_walk(monkeypatch, n, slack):
     # isometric pairs collide, random pairs mostly run out of budget;
-    # slack 0 starts at the least width and forces re-encoding
+    # slack 0 starts at the least width and forces re-encoding.  The
+    # reference tries all 384 signed permutations per state at n = 4, so
+    # it walks fewer pairs there, and less far.
     monkeypatch.setattr(_MeetInTheMiddle, "WIDTH_SLACK", slack)
     rng = random.Random(600 + n)
-    for case in range(8):
+    budgets = (0, 1, 2, 5, 17, 60) if n < 4 else (0, 1, 2, 5, 12)
+    for case in range(8 if n < 4 else 4):
         g = random_gram(rng, n, span=4)
         if case % 2:
             h = random_gram(rng, n, span=4)
         else:
             h = transformed(g, random_unimodular(rng, n, steps=6))
         walk, ref = _MeetInTheMiddle(g, h), TupleWalk(g, h)
-        for budget in (0, 1, 2, 5, 17, 60, 200):
+        for budget in budgets:
             assert walk.advance(budget) == ref.advance(budget), (g, h, budget)
             assert walk.pops == ref.pops
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_canonical_form_is_a_class_invariant(n):
+    rng = random.Random(700 + n)
+    signed = list(signed_permutations(n))
+    for _ in range(40):
+        # small entries give tied diagonals and zero off-diagonal entries
+        a = random_gram(rng, n, span=rng.choice([1, 2, 9]))
+        walk = _MeetInTheMiddle(a, a)
+        state = [a.entries[r][c] for r, c in walk.tri]
+        canon, (perm, signs) = walk.canonical(state)
+        ref, _ = TupleWalk(a, a).canonical(a.entries)
+        assert canon == ref
+        # the returned signed permutation maps A to the canonical state
+        s = next(s for p, g, s in signed if (p, g) == (perm, signs))
+        b = transformed(a, s)
+        assert tuple(b.entries[r][c] for r, c in walk.tri) == canon
+        for _, _, s in rng.sample(signed, 8):
+            b = transformed(a, s)
+            assert walk.canonical([b.entries[r][c] for r, c in walk.tri])[0] == canon
 
 
 @pytest.mark.parametrize("pair", [PAIR_1228, PAIR_8972])
@@ -605,7 +640,7 @@ def test_packed_walk_widens_without_changing_the_walk(monkeypatch, pair):
     red2, _ = reduce_gram(pair[1])
     walk, ref = _MeetInTheMiddle(red1, red2), TupleWalk(red1, red2)
     start = walk.width
-    for budget in (10, 2000, 4000, 6226, 16000):
+    for budget in (10, 44, 200, 262, 16000):
         assert walk.advance(budget) == ref.advance(budget)
         assert walk.pops == ref.pops
     assert walk.collision is not None
@@ -633,14 +668,87 @@ def test_witness_search_screens_out_different_signatures(monkeypatch):
     assert isometry_witness_search(g1, g2, 8) is None
 
 
+def test_witness_search_screens_out_different_genera(monkeypatch):
+    import traceforms.quadform as qf
+
+    # trace forms of the quartic fields with coefficients (5, -4, 3, -1, 1)
+    # and (4, -3, 3, 0, 1), constant term first: disc 15529, signature
+    # (2, 2) for both, different genus
+    g1 = GramMatrix([[4, 1, -5, 4], [1, -5, 4, 3], [-5, 4, 3, -34], [4, 3, -34, -2]])
+    g2 = GramMatrix([[4, 0, -6, 9], [0, -6, 9, 2], [-6, 9, 2, -45], [9, 2, -45, 45]])
+    assert g1.det == g2.det == 15529
+    assert signature(g1) == signature(g2) == (2, 2)
+    assert not genus_equal(g1, g2)
+
+    def fail(*args):
+        raise AssertionError("searched a pair the screen rules out")
+
+    monkeypatch.setattr(qf, "_witness_search_raw", fail)
+    monkeypatch.setattr(qf, "_MeetInTheMiddle", fail)
+    monkeypatch.setattr(qf, "reduce_gram", fail)
+    assert _witness_search(g1, g2, range(1, 9)) is None
+
+
+def old_reduce_gram(gram):
+    """reduce_gram as it was, with Fraction rounding and whole-matrix
+    scores: the reference for the integer version."""
+    n = gram.n
+    a = [list(r) for r in gram.entries]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    current = sum(x * x for row in a for x in row)
+    improved = True
+    while improved:
+        improved = False
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                candidates = {-1, 1, -2, 2}
+                if a[j][j] != 0:
+                    candidates.add(-round(Fraction(a[i][j], a[j][j])))
+                for t in sorted(candidates):
+                    if t == 0:
+                        continue
+                    b = [row[:] for row in a]
+                    for c in range(n):
+                        b[i][c] += t * b[j][c]
+                    for r in range(n):
+                        b[r][i] += t * b[r][j]
+                    score = sum(x * x for row in b for x in row)
+                    if score < current:
+                        a = b
+                        current = score
+                        for c in range(n):
+                            u[i][c] += t * u[j][c]
+                        improved = True
+                        break
+    return GramMatrix(a), [list(col) for col in zip(*u)]
+
+
+def test_reduce_gram_matches_the_fraction_version():
+    rng = random.Random(71)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        g = random_gram(rng, n, span=rng.choice([3, 40]))
+        if rng.random() < 0.5:
+            g = transformed(g, random_unimodular(rng, n, steps=12))
+        reduced, u = reduce_gram(g)
+        assert (reduced, u) == old_reduce_gram(g)
+        assert transformed(g, u) == reduced
+    # the integer rounding takes halves to even, as round(Fraction) does
+    for a in range(-12, 13):
+        for b in [*range(-6, 0), *range(1, 7)]:
+            assert _round_div(a, b) == round(Fraction(a, b)), (a, b)
+
+
 def test_witness_verification_survives_python_O():
     # the exact re-verification must not be an assert that -O strips
     proc = run_optimized("""
 import traceforms.quadform as qf
 from traceforms.errors import ConsistencyError
 qf._witness_search_raw = lambda g1, g2, bound: [[1, 0], [0, 1]]
-g1 = qf.GramMatrix([[1, 0], [0, 6]])
-g2 = qf.GramMatrix([[2, 0], [0, 3]])
+g1 = qf.GramMatrix([[2, 1], [1, 2]])
+g2 = qf.GramMatrix([[2, 3], [3, 6]])
 try:
     print(qf.isometry_witness_search(g1, g2, 2))
 except ConsistencyError:
