@@ -43,11 +43,11 @@ from .numberfield import (
 )
 from .padic import legendre_symbol
 from .quadform import (
-    _witness_search,
     canonical_two_adic_symbol,
     diagonal_local_symbol_odd,
     genus_equal,
     genus_symbol,
+    isometry_witness_search,
     local_symbol_odd,
     pairwise_witnesses,
     signature,
@@ -248,11 +248,12 @@ def _skip_exit_code(reasons) -> int:
 
 def cmd_compare(records, label_a, label_b, oracle=False, witness_bound=None,
                 out=None) -> int:
-    fields = _build_fields(records)
+    by_label = {rec.label: rec for rec in records}
     for label in (label_a, label_b):
-        if label not in fields:
+        if label not in by_label:
             raise ParseError(f"unknown label {label!r}")
-    fa, fb = fields[label_a], fields[label_b]
+    fa = field_from_record(by_label[label_a])
+    fb = field_from_record(by_label[label_b])
     verdicts, reasons = _run_procedures(fa, fb, out)
     if oracle or witness_bound:
         ga, gb = trace_gram(fa), trace_gram(fb)
@@ -271,7 +272,7 @@ def cmd_compare(records, label_a, label_b, oracle=False, witness_bound=None,
                 out,
             )
         if witness_bound:
-            witness = _witness_search(ga, gb, range(1, witness_bound + 1))
+            witness = isometry_witness_search(ga, gb, witness_bound)
             _emit(
                 {
                     "type": "witness",
@@ -467,8 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("label_b")
     p_cmp.add_argument("--oracle", action="store_true",
                        help="also compare genus symbols of the trace Grams")
-    p_cmp.add_argument("--witness-bound", type=int, default=None,
-                       help="search for an explicit isometry with this entry bound")
+    p_cmp.add_argument("--witness-bound", type=int, default=None, metavar="B",
+                       help="search for an explicit isometry, walking 2000*B "
+                            "classes per side")
 
     p_scan = sub.add_parser("scan", help="pairwise decisions within groups")
     p_scan.add_argument("records", nargs="?", default=None)
@@ -477,7 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--cubic-search", type=int, default=None, metavar="N",
                         help="enumerate cubic fields with |disc| <= N and report "
                              "all equal-discriminant non-isomorphic pairs")
-    p_scan.add_argument("--witness-bound", type=int, default=8)
+    p_scan.add_argument("--witness-bound", type=int, default=8, metavar="B",
+                        help="witness search budget for complex cubic pairs: "
+                             "2000*B classes per side (default 8)")
 
     p_chk = sub.add_parser("oracle-check", help="run invariant cross-checks")
     p_chk.add_argument("records")

@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
 
 from .errors import (
     ConsistencyError,
@@ -918,148 +917,37 @@ class _MeetInTheMiddle:
 
 
 def isometry_witness_search(g1: GramMatrix, g2: GramMatrix, bound: int):
-    """Search for U with U^T G1 U = G2 and det(U) = +-1.
+    """Search for U with U^T G1 U = G2 and det(U) = +-1, or return None.
 
-    Strategy: size-reduce both forms, run a column DFS with entries in
-    [-bound, bound] in reduced coordinates (the last column is solved
-    exactly from the linear constraints plus the quadratic one), and fall
-    back to a meet-in-the-middle walk through congruence classes modulo
-    signed permutations with budget 2000 * bound.  Forms of different genus
-    are screened out before any search.  Every returned witness is mapped
-    back to the original bases and re-verified exactly; None never
-    certifies non-isometry.
-    """
-    return _witness_search(g1, g2, (bound,))
-
-
-def _witness_search(g1: GramMatrix, g2: GramMatrix, bounds):
-    """The first witness over a schedule of bounds, or None.
-
-    Forms of different genus are not isometric, so `genus_equal` (dimension,
-    determinant and signature first) screens them out before any reduction
-    or search.  Otherwise each form is reduced once and one
-    meet-in-the-middle walk over classes modulo signed permutations serves
-    the whole schedule: at each bound the box search runs, then the walk is
-    advanced to 2000 * bound pops.  A walk that failed at budget b made no
-    collision in its first b pops, so resuming it returns what a fresh walk
-    at the larger budget returns, and the result equals that of searching
-    at each bound in turn with a fresh walk.  Each bound is checked
-    (positive, then within the search-space limit) before the screen runs
-    at it.
+    Forms of different genus are not isometric, so `genus_equal`
+    (dimension, determinant and signature first) screens them out before
+    any reduction or search.  Otherwise both forms are size-reduced and one
+    meet-in-the-middle walk over classes modulo signed permutations runs
+    with a budget of 2000 * bound pops per side.  The walk is resumable, so
+    this equals the first witness found by searching at each bound 1, 2,
+    ..., bound in turn.  Every returned witness is mapped back to the
+    original bases and re-verified exactly; None never certifies
+    non-isometry.
     """
     if g1.n != g2.n:
         raise HypothesisError("witness search needs equal dimensions")
-    n = g1.n
-    same_genus = walk = None
-    for bound in bounds:
-        if bound < 1:
-            raise FormRangeError("bound must be positive")
-        if (2 * bound + 1) ** n > 5_000_000:
-            raise LimitError("witness search space too large")
-        if same_genus is None:
-            same_genus = genus_equal(g1, g2)
-        if not same_genus:
-            continue
-        if walk is None:
-            red1, u1 = reduce_gram(g1)
-            red2, u2 = reduce_gram(g2)
-            walk = _MeetInTheMiddle(red1, red2)
-        inner = _witness_search_raw(red1, red2, bound)
-        if inner is None:
-            inner = walk.advance(2000 * bound)
-            if inner is None:
-                continue
-        u = mat_mul(mat_mul(u1, inner), unimodular_inverse(u2))
-        if not _congruent(u, g1, g2) or abs(det_int(u)) != 1:
-            raise ConsistencyError("witness search returned a non-isometry")
-        return u
-    return None
-
-
-def _solve_last_column(a, cols, targets, last_target, n):
-    """Solve c^T a c_i = targets[i] plus the quadratic q(c) = last_target.
-
-    The linear constraints leave a one-parameter rational line; the
-    quadratic picks out at most two rational points, checked for
-    integrality.  Returns an integer column or None.
-    """
-    rows = [[Fraction(x) for x in av] for _, av in cols]
-    # rational kernel vector of the (n-1) x n system
-    kernel = None
-    mat = [row[:] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
+    if bound < 1:
+        raise FormRangeError("bound must be positive")
+    # nothing enumerates this box: the cap stays only as a limit on the
+    # walk budget a caller may ask for
+    if (2 * bound + 1) ** g1.n > 5_000_000:
+        raise LimitError("witness search space too large")
+    if not genus_equal(g1, g2):
         return None
-    fc = free[0]
-    w = [Fraction(0)] * n
-    w[fc] = Fraction(1)
-    for i, pc in enumerate(pivots):
-        w[pc] = -mat[i][fc]
-    scale = 1
-    for x in w:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
-    w = [int(x * scale) for x in w]
-    g = 0
-    for x in w:
-        g = gcd(g, x)
-    w = [x // g for x in w]
-    # particular solution with the kernel direction pinned to zero
-    aug = rows + [[Fraction(x) for x in w]]
-    rhs = [Fraction(t) for t in targets] + [Fraction(0)]
-    m = [row[:] + [rhs[i]] for i, row in enumerate(aug)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return None
-        m[c], m[pivot] = m[pivot], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    x0 = [m[i][n] for i in range(n)]
-    # q(x0 + t w) = q0 + 2 t b + t^2 qw
-    def bilinear(u, v):
-        return sum(u[i] * a[i][j] * v[j] for i in range(n) for j in range(n))
-
-    q0 = bilinear(x0, x0)
-    b = bilinear(x0, w)
-    qw = bilinear(w, w)
-    roots = []
-    if qw == 0:
-        if b != 0:
-            roots.append((Fraction(last_target) - q0) / (2 * b))
-        elif q0 == last_target:
-            roots.append(Fraction(0))
-    else:
-        disc = b * b - qw * (q0 - last_target)
-        if disc >= 0:
-            num, den = disc.numerator, disc.denominator
-            rn, rd = isqrt(num), isqrt(den)
-            if rn * rn == num and rd * rd == den:
-                sq = Fraction(rn, rd)
-                roots.extend({(-b + sq) / qw, (-b - sq) / qw})
-    for t in roots:
-        candidate = [x0[i] + t * w[i] for i in range(n)]
-        if all(x.denominator == 1 for x in candidate):
-            return [int(x) for x in candidate]
-    return None
+    red1, u1 = reduce_gram(g1)
+    red2, u2 = reduce_gram(g2)
+    inner = _MeetInTheMiddle(red1, red2).advance(2000 * bound)
+    if inner is None:
+        return None
+    u = mat_mul(mat_mul(u1, inner), unimodular_inverse(u2))
+    if not _congruent(u, g1, g2) or abs(det_int(u)) != 1:
+        raise ConsistencyError("witness search returned a non-isometry")
+    return u
 
 
 def pairwise_witnesses(grams, bound: int):
@@ -1068,11 +956,9 @@ def pairwise_witnesses(grams, bound: int):
     Returns {(i, j): U or None} for i < j.  Found witnesses are composed
     transitively (and inverted) before any direct search runs, so a
     spanning tree of direct hits covers the whole family; every returned
-    matrix is re-verified exactly.  A direct search first screens the pair
-    with `genus_equal`, then runs the schedule (2, bound): the box search
-    and the meet-in-the-middle walk over classes modulo signed permutations
-    at bound 2, then the box search at `bound` and the same walk resumed to
-    2000 * bound pops, with both forms reduced once.
+    matrix is re-verified exactly.  A direct search is one
+    `isometry_witness_search` at `bound`: the genus screen, then the walk
+    over classes modulo signed permutations to 2000 * bound pops per side.
     """
     from collections import deque
 
@@ -1114,69 +1000,8 @@ def pairwise_witnesses(grams, bound: int):
         for j in range(i + 1, k):
             u = compose(i, j)
             if u is None:
-                u = _witness_search(grams[i], grams[j], (2, bound))
+                u = isometry_witness_search(grams[i], grams[j], bound)
             if u is not None:
                 known[(i, j)] = u
             out[(i, j)] = u
     return out
-
-
-def _witness_search_raw(g1: GramMatrix, g2: GramMatrix, bound: int):
-    """Box-search the first n-1 columns, solve the last one exactly, over
-    every column ordering of the target form."""
-    n = g1.n
-    a = g1.entries
-    targets = {g2.entries[j][j] for j in range(n)}
-    by_value: dict[int, list] = {t: [] for t in targets}
-    rng = range(-bound, bound + 1)
-    for v in itertools.product(rng, repeat=n):
-        av = tuple(sum(a[i][k] * v[k] for k in range(n)) for i in range(n))
-        q = sum(av[i] * v[i] for i in range(n))
-        if q in by_value:
-            by_value[q].append((v, av))
-
-    for perm in itertools.permutations(range(n)):
-        h = [[g2.entries[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
-        cols: list = [None] * n
-
-        def extend(j: int) -> bool:
-            if j == n - 1:
-                solved = _solve_last_column(
-                    a, cols[: n - 1], [h[i][n - 1] for i in range(n - 1)],
-                    h[n - 1][n - 1], n,
-                )
-                if solved is None:
-                    return False
-                av = tuple(
-                    sum(a[i][k] * solved[k] for k in range(n)) for i in range(n)
-                )
-                cols[j] = (tuple(solved), av)
-                return True
-            for v, av in by_value[h[j][j]]:
-                ok = True
-                for i in range(j):
-                    if sum(av[k] * cols[i][0][k] for k in range(n)) != h[i][j]:
-                        ok = False
-                        break
-                if ok:
-                    cols[j] = (v, av)
-                    if extend(j + 1):
-                        return True
-            cols[j] = None
-            return False
-
-        if n == 1:
-            hit = next((v for v, _ in by_value[h[0][0]]), None)
-            if hit is None:
-                continue
-            cols[0] = (hit, None)
-        elif not extend(0):
-            continue
-        u = [[0] * n for _ in range(n)]
-        for spot, col in enumerate(cols):
-            for i in range(n):
-                u[i][perm[spot]] = col[0][i]
-        if not _congruent(u, g1, g2) or abs(det_int(u)) != 1:
-            continue
-        return u
-    return None

@@ -25,7 +25,8 @@ from traceforms.cli import (
     main,
     parse_record,
 )
-from traceforms.errors import DuplicateLabelError, ParseError
+from traceforms.errors import DuplicateLabelError, NotAFieldError, ParseError
+from traceforms.numberfield import field_from_record
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "corpus.jsonl")
 
@@ -128,15 +129,49 @@ def test_compare_cubic_pair(tmp_path):
 
 
 def test_compare_prints_the_corpus_witness():
-    # the first hit of the bound schedule 1..8 for x^3 + 6 and x^3 + 12
+    # x^3 + 6 and x^3 + 12: the corpus gives both the same trace Gram, so
+    # the walk starts at its collision
     code, lines = run_lines(
         cmd_compare, ingest(DATA), "c972a", "c972b", witness_bound=8
     )
     assert code == EXIT_OK
     assert lines[-1] == {
         "type": "witness", "a": "c972a", "b": "c972b", "bound": 8,
-        "matrix": [[-1, 0, -6], [-1, -1, -3], [0, 0, -1]],
+        "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
     }
+
+
+def test_compare_builds_only_the_two_named_fields(tmp_path, monkeypatch):
+    import traceforms.cli as cli
+
+    built = []
+
+    def counting(rec, *args, **kwargs):
+        built.append(rec.label)
+        return field_from_record(rec, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "field_from_record", counting)
+    code, _ = run_lines(cmd_compare, ingest(DATA), "c972a", "c972b")
+    assert code == EXIT_OK
+    assert built == ["c972a", "c972b"]
+    # a record that is not a field only fails the commands that build it
+    path = write_records(tmp_path, [
+        {"label": "a", "poly": [6, 0, 0, 1]},
+        {"label": "bad", "poly": [-1, 0, 1]},
+        {"label": "b", "poly": [12, 0, 0, 1], "splitting": {"2": [[3, 1]]}},
+    ])
+    assert run_lines(cmd_compare, ingest(path), "a", "b")[0] == EXIT_OK
+    with pytest.raises(NotAFieldError):
+        run_lines(cmd_compare, ingest(path), "a", "bad")
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", DATA, "c972a", "c972b", "--witness-bound", "-2"],
+    ["scan", "--cubic-search", "1300", "--witness-bound", "-1"],
+])
+def test_negative_witness_bound_is_rejected(capsys, argv):
+    assert main(argv) == EXIT_PARSE
+    assert capsys.readouterr().err == "error: bound must be positive\n"
 
 
 def test_compare_disc_mismatch(tmp_path):
@@ -233,7 +268,7 @@ GOLDEN_STDOUT = [
     (["oracle-check", DATA], "8180cd406649e6bc"),
     (["scan", DATA], "307d294faa018b46"),
     (["scan", DATA, "--group-by-disc"], "2966a12c33d9dd54"),
-    (["scan", "--cubic-search", "3000", "--witness-bound", "8"], "7a9613bd253fcabd"),
+    (["scan", "--cubic-search", "3000", "--witness-bound", "8"], "618f795fd74fd1fa"),
 ]
 
 

@@ -9,7 +9,12 @@ import pytest
 
 from _optimized import run_optimized
 from traceforms.cli import ingest
-from traceforms.errors import HypothesisError, SingularFormError
+from traceforms.errors import (
+    FormRangeError,
+    HypothesisError,
+    LimitError,
+    SingularFormError,
+)
 from traceforms.linalg import det_int, mat_mul, transpose, unimodular_inverse
 from traceforms.numberfield import field_from_record, trace_gram
 from traceforms.padic import (
@@ -32,7 +37,6 @@ from traceforms.quadform import (
     hasse_witt,
     _MeetInTheMiddle,
     _round_div,
-    _witness_search,
     isometry_witness_search,
     local_symbol_odd,
     model_equivalent,
@@ -375,6 +379,18 @@ def test_witness_search_examples():
     assert isometry_witness_search(g1, GramMatrix([[2, 0], [0, 4]]), 3) is None
 
 
+def test_witness_bound_is_checked_before_the_search():
+    # the cap (2 * bound + 1)^n <= 5,000,000 holds the walk budget a caller
+    # may ask for; it applies even to a pair whose walk would collide at once
+    g = GramMatrix([[int(r == c) * (r + 1) for c in range(6)] for r in range(6)])
+    assert isometry_witness_search(g, g, 6) is not None
+    with pytest.raises(LimitError):
+        isometry_witness_search(g, g, 7)
+    for bound in (0, -2):
+        with pytest.raises(FormRangeError):
+            isometry_witness_search(g, g, bound)
+
+
 def test_witness_search_random_transforms():
     rng = random.Random(53)
     for _ in range(15):
@@ -396,8 +412,7 @@ PAIR_8972 = (GramMatrix([[3, 0, 16], [0, 32, -66], [16, -66, 128]]),
 
 
 def test_meet_in_the_middle_witnesses_are_pinned():
-    # the box search misses both pairs, so these come from the
-    # meet-in-the-middle fallback (collisions at pops 45 and 263)
+    # walk collisions at pops 45 and 263
     pins = [
         (PAIR_1228, [[2125, 3140, 1992], [317, 467, 298], [1034, 1525, 971]]),
         (PAIR_8972, [[3971, 16544, -8138], [109646, 456794, -224749],
@@ -580,14 +595,16 @@ def test_resumed_walk_matches_a_fresh_walk_on_a_pinned_pair():
 
 
 @pytest.mark.parametrize("pair", [PAIR_1228, PAIR_8972])
-def test_bound_schedule_matches_restarting_at_each_bound(pair):
-    restarted = None
+def test_first_bound_with_a_witness_matches_the_largest_bound(pair):
+    # the walk is resumable, so a search at 8 returns the witness that
+    # searching at 1, 2, ... returns first
+    first = None
     for bound in range(1, 9):
-        restarted = isometry_witness_search(*pair, bound)
-        if restarted is not None:
+        first = isometry_witness_search(*pair, bound)
+        if first is not None:
             break
-    assert restarted is not None
-    assert _witness_search(*pair, range(1, 9)) == restarted
+    assert first is not None
+    assert isometry_witness_search(*pair, 8) == first
 
 
 @pytest.mark.parametrize("slack", [0, _MeetInTheMiddle.WIDTH_SLACK])
@@ -661,10 +678,8 @@ def test_witness_search_screens_out_different_signatures(monkeypatch):
     def fail(*args):
         raise AssertionError("searched a pair the screen rules out")
 
-    monkeypatch.setattr(qf, "_witness_search_raw", fail)
     monkeypatch.setattr(qf, "_MeetInTheMiddle", fail)
     monkeypatch.setattr(qf, "reduce_gram", fail)
-    assert _witness_search(g1, g2, range(1, 9)) is None
     assert isometry_witness_search(g1, g2, 8) is None
 
 
@@ -683,10 +698,9 @@ def test_witness_search_screens_out_different_genera(monkeypatch):
     def fail(*args):
         raise AssertionError("searched a pair the screen rules out")
 
-    monkeypatch.setattr(qf, "_witness_search_raw", fail)
     monkeypatch.setattr(qf, "_MeetInTheMiddle", fail)
     monkeypatch.setattr(qf, "reduce_gram", fail)
-    assert _witness_search(g1, g2, range(1, 9)) is None
+    assert isometry_witness_search(g1, g2, 8) is None
 
 
 def old_reduce_gram(gram):
@@ -746,7 +760,8 @@ def test_witness_verification_survives_python_O():
     proc = run_optimized("""
 import traceforms.quadform as qf
 from traceforms.errors import ConsistencyError
-qf._witness_search_raw = lambda g1, g2, bound: [[1, 0], [0, 1]]
+# a walk that claims the identity carries the reduced forms to each other
+qf._MeetInTheMiddle.advance = lambda self, budget: [[1, 0], [0, 1]]
 g1 = qf.GramMatrix([[2, 1], [1, 2]])
 g2 = qf.GramMatrix([[2, 3], [3, 6]])
 try:
