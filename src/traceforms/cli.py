@@ -28,6 +28,7 @@ from .decide import (
 from .errors import (
     ConsistencyError,
     DuplicateLabelError,
+    FormRangeError,
     HypothesisError,
     LimitError,
     ParseError,
@@ -246,8 +247,15 @@ def _skip_exit_code(reasons) -> int:
     return EXIT_NO_CRITERION
 
 
+def _check_witness_bound(bound):
+    """Reject a witness bound below 1 before a command writes anything."""
+    if bound is not None and bound < 1:
+        raise FormRangeError("bound must be positive")
+
+
 def cmd_compare(records, label_a, label_b, oracle=False, witness_bound=None,
                 out=None) -> int:
+    _check_witness_bound(witness_bound)
     by_label = {rec.label: rec for rec in records}
     for label in (label_a, label_b):
         if label not in by_label:
@@ -255,7 +263,7 @@ def cmd_compare(records, label_a, label_b, oracle=False, witness_bound=None,
     fa = field_from_record(by_label[label_a])
     fb = field_from_record(by_label[label_b])
     verdicts, reasons = _run_procedures(fa, fb, out)
-    if oracle or witness_bound:
+    if oracle or witness_bound is not None:
         ga, gb = trace_gram(fa), trace_gram(fb)
         if oracle:
             _emit(
@@ -271,7 +279,7 @@ def cmd_compare(records, label_a, label_b, oracle=False, witness_bound=None,
                 },
                 out,
             )
-        if witness_bound:
+        if witness_bound is not None:
             witness = isometry_witness_search(ga, gb, witness_bound)
             _emit(
                 {
@@ -300,7 +308,7 @@ def _cubic_group_reports(group, witness_bound, out):
     ]
     grams = [trace_gram(f) for f in fields]
     witnesses = {}
-    if witness_bound and group[0].disc < 0:
+    if witness_bound is not None and group[0].disc < 0:
         witnesses = pairwise_witnesses(grams, witness_bound)
     count = 0
     for i in range(len(group)):
@@ -327,6 +335,7 @@ def _cubic_group_reports(group, witness_bound, out):
 
 def cmd_scan(records, out, group_by_disc=False, cubic_search=None,
              witness_bound=8) -> int:
+    _check_witness_bound(witness_bound)
     fields = _build_fields(records)
     groups = {}
     for label, fld in fields.items():

@@ -42,11 +42,17 @@ class BadBasisError(TraceFormsError):
 
 
 class UnsupportedSplittingError(TraceFormsError):
-    """Splitting at p cannot be computed natively and was not supplied."""
+    """Splitting at p cannot be computed natively and was not supplied.
 
-    def __init__(self, p, message=None):
+    Its args are (p,), so `UnsupportedSplittingError(*exc.args)` raises
+    the same error again."""
+
+    def __init__(self, p):
+        super().__init__(p)
         self.p = p
-        super().__init__(message or f"splitting at {p} requires supplied data")
+
+    def __str__(self):
+        return f"splitting at {self.p} requires supplied data"
 
 
 class HypothesisError(TraceFormsError):

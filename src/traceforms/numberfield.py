@@ -14,11 +14,20 @@ Multiplication tables and ideal coordinates come from exact integer
 forward substitution against a triangular basis, and the discriminant and
 index are read off the diagonal.  No Fraction enters this arithmetic; only
 `maximal_order` and `NumberFieldData.basis` hand out Fraction rows.
+
+A built field keeps its order the same way, as integer rows over one
+denominator (a supplied basis as given, not as its HNF), so `trace_gram`
+sums integers and divides by den^2 once per entry.  The field also keeps
+its ramification profile: `ramification_profile` factors each ramified
+prime once per field and memoises the splittings, or the class and args of
+the error they raised, on the field; `splitting_data` at a ramified prime
+returns the memo's entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from math import gcd
 
@@ -27,6 +36,7 @@ from .errors import (
     ConsistencyError,
     LimitError,
     NotAFieldError,
+    TraceFormsError,
     UnsupportedSplittingError,
 )
 from .linalg import fp_left_kernel, hnf, mat_mul
@@ -57,7 +67,7 @@ class FieldRecord:
     galois: bool | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SplittingData:
     """Splitting of a finite prime: the multiset {(e_i, f_i)}."""
 
@@ -89,8 +99,17 @@ class SplittingData:
         return any(e > 1 for e, _ in self.pairs)
 
 
+@lru_cache(maxsize=1024)
+def _interned(value: tuple) -> tuple:
+    """One shared object per distinct tuple of ints.  Fields repeat a few
+    orders and splitting shapes (the 2258 quartics of the benchmark box
+    have 62 distinct order bases and 6 ramified splitting shapes), so a
+    field that keeps its order and its profile keeps mostly shared tuples."""
+    return value
+
+
 def make_splitting(p: int, pairs, n: int | None = None) -> SplittingData:
-    pairs = tuple(sorted((int(e), int(f)) for e, f in pairs))
+    pairs = _interned(tuple(sorted((int(e), int(f)) for e, f in pairs)))
     if not pairs or any(e < 1 or f < 1 for e, f in pairs):
         raise ConsistencyError(f"invalid splitting pairs at {p}: {pairs}")
     sd = SplittingData(p=p, pairs=pairs)
@@ -101,20 +120,36 @@ def make_splitting(p: int, pairs, n: int | None = None) -> SplittingData:
     return sd
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumberFieldData:
-    """Validated field: degree, polynomial, integral basis, disc, signature."""
+    """Validated field: degree, polynomial, maximal order, disc, signature.
+
+    The maximal order is kept on the integer core: basis element i is
+    rows[i] / den over the power basis.  A supplied basis is kept as
+    given, not as its HNF.
+    """
 
     label: str
     n: int
     poly: tuple
-    basis: tuple  # rows of Fractions over the power basis
+    rows: tuple  # integer rows over den
+    den: int
     disc: int
     sig: tuple  # (r, s)
     poly_disc: int
     index: int
     supplied_splitting: dict = field(default_factory=dict)
     galois: bool | None = None
+    # ramified SplittingData in factorize(disc) order, or on failure the
+    # exception's (class, args); None until ramification_profile runs
+    _ramified: tuple | None = field(default=None, init=False, compare=False,
+                                    repr=False)
+
+    @property
+    def basis(self) -> tuple:
+        """Rows of Fractions over the power basis."""
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +384,7 @@ def maximal_order(poly):
     radical/multiplier loop finishes the rare deeper-index cases and stops
     once the index gain reaches its cap v_p(poly disc) // 2.
     """
-    return _fraction_rows(_maximal_order(poly))
-
-
-def _fraction_rows(order):
-    rows, den = order
+    rows, den = _maximal_order(poly)
     return [[Fraction(x, den) for x in row] for row in rows]
 
 
@@ -405,13 +436,10 @@ def field_from_record(rec: FieldRecord, max_degree: int = DEGREE_CAP,
     if abs(pdisc) > max_disc:
         raise LimitError(f"|poly disc| = {abs(pdisc)} exceeds the cap {max_disc}")
     if rec.basis is not None:
-        basis = [[Fraction(x) for x in row] for row in rec.basis]
-        if len(basis) != n or any(len(row) != n for row in basis):
-            raise BadBasisError(f"basis must be {n}x{n}")
-        order = _validate_order(basis, poly, pdisc)
+        rows, den = _integer_rows(rec.basis, n)
+        order = _validate_order(rows, den, poly, pdisc)
     else:
-        order = _maximal_order(poly)
-        basis = _fraction_rows(order)
+        order = rows, den = _maximal_order(poly)
     disc, index = _disc_and_index(order, pdisc)
     r, s = signature_of_field(poly)
     if (-1) ** s != (1 if disc > 0 else -1):
@@ -427,9 +455,10 @@ def field_from_record(rec: FieldRecord, max_degree: int = DEGREE_CAP,
         label=rec.label,
         n=n,
         poly=tuple(poly),
-        basis=tuple(tuple(row) for row in basis),
+        rows=_interned(tuple(tuple(row) for row in rows)),
+        den=den,
         disc=disc,
-        sig=(r, s),
+        sig=_interned((r, s)),
         poly_disc=pdisc,
         index=index,
         supplied_splitting=supplied,
@@ -437,15 +466,23 @@ def field_from_record(rec: FieldRecord, max_degree: int = DEGREE_CAP,
     )
 
 
-def _validate_order(basis, poly, pdisc):
-    """(B, den) of a supplied basis, which must contain 1, be a ring, and
-    be maximal."""
-    n = len(basis)
+def _integer_rows(basis, n):
+    """A supplied n x n basis as (integer rows, den), entry for entry."""
+    basis = [[Fraction(x) for x in row] for row in basis]
+    if len(basis) != n or any(len(row) != n for row in basis):
+        raise BadBasisError(f"basis must be {n}x{n}")
     den = 1
     for row in basis:
         for x in row:
             den = den * x.denominator // gcd(den, x.denominator)
-    rows = hnf([[int(x * den) for x in row] for row in basis])
+    return [[x.numerator * (den // x.denominator) for x in row] for row in basis], den
+
+
+def _validate_order(rows, den, poly, pdisc):
+    """(B, den) of the HNF of a supplied basis rows / den, which must
+    contain 1, be a ring, and be maximal."""
+    n = len(rows)
+    rows = hnf(rows)
     if len(rows) != n:
         raise BadBasisError("basis is singular")
     order = _with_content_removed(rows, den)
@@ -481,37 +518,31 @@ def power_sums(poly, count):
 
 
 def trace_gram(fld: NumberFieldData) -> GramMatrix:
-    """Gram matrix Tr(b_i b_j) of the integral trace form, exactly."""
-    n = fld.n
+    """Gram matrix Tr(b_i b_j) of the integral trace form, exactly.
+
+    With b_i = rows[i] / den, Tr(b_i b_j) = sum_kl rows[i][k] rows[j][l]
+    Tr(theta^(k+l)) / den^2: an integer sum, divided once per entry."""
+    n, rows, den2 = fld.n, fld.rows, fld.den * fld.den
     sums = power_sums(list(fld.poly), 2 * n - 1)
-    basis = fld.basis
-    entries = []
+    entries = [[0] * n for _ in range(n)]
     for i in range(n):
-        row = []
-        for j in range(n):
-            val = Fraction(0)
-            for k in range(n):
-                if basis[i][k]:
-                    for l in range(n):
-                        if basis[j][l]:
-                            val += basis[i][k] * basis[j][l] * sums[k + l]
-            if val.denominator != 1:
+        bi = rows[i]
+        # moments[l] = Tr(rows[i] * theta^l), so entry (i, j) is moments . rows[j]
+        moments = [sum(bi[k] * sums[k + l] for k in range(n) if bi[k])
+                   for l in range(n)]
+        for j in range(i + 1):
+            val, r = divmod(sum(m * x for m, x in zip(moments, rows[j])), den2)
+            if r:
                 raise BadBasisError("trace pairing is not integral on this basis")
-            row.append(int(val))
-        entries.append(row)
+            entries[i][j] = entries[j][i] = val
     gram = GramMatrix(entries)
     if gram.det != fld.disc:
         raise ConsistencyError("det(trace gram) != disc")
     return gram
 
 
-def splitting_data(fld: NumberFieldData, p: int) -> SplittingData:
-    """Splitting of p: native factorization mod p when p does not divide
-    the index, otherwise supplied data from the record.  A tame splitting
-    is checked against the discriminant valuation formula
-    v_p(disc) = n - f_p, with a ConsistencyError on mismatch."""
-    if not is_prime(p):
-        raise ConsistencyError(f"{p} is not prime")
+def _splitting_at(fld: NumberFieldData, p: int) -> SplittingData:
+    """`splitting_data` for a prime p, computed afresh."""
     supplied = fld.supplied_splitting.get(p)
     if fld.index % p != 0:
         fac = factor_mod_p(list(fld.poly), p)
@@ -539,21 +570,60 @@ def splitting_data(fld: NumberFieldData, p: int) -> SplittingData:
     return split
 
 
+def _ramified_splitting(fld: NumberFieldData, p: int) -> SplittingData:
+    sd = _splitting_at(fld, p)
+    if not sd.ramified:
+        raise ConsistencyError(f"{p} divides disc but splitting is unramified")
+    return sd
+
+
+def _ramified_memo(fld: NumberFieldData) -> tuple:
+    """The field's memo: its ramified SplittingData, or the (class, args)
+    of the error that computing them raised.  Filled on first use."""
+    memo = fld._ramified
+    if memo is None:
+        try:
+            memo = tuple(_ramified_splitting(fld, p) for p in factorize(fld.disc))
+        except TraceFormsError as exc:
+            memo = (type(exc), exc.args)
+        object.__setattr__(fld, "_ramified", memo)
+    return memo
+
+
+def _failed(memo) -> bool:
+    return bool(memo) and isinstance(memo[0], type)
+
+
+def splitting_data(fld: NumberFieldData, p: int) -> SplittingData:
+    """Splitting of p: native factorization mod p when p does not divide
+    the index, otherwise supplied data from the record.  A tame splitting
+    is checked against the discriminant valuation formula
+    v_p(disc) = n - f_p, with a ConsistencyError on mismatch.  At a
+    ramified p it is the entry of the field's ramification profile."""
+    if not is_prime(p):
+        raise ConsistencyError(f"{p} is not prime")
+    if fld.disc % p == 0:
+        memo = _ramified_memo(fld)
+        if not _failed(memo):
+            for sd in memo:
+                if sd.p == p:
+                    return sd
+    return _splitting_at(fld, p)
+
+
 def ramification_profile(fld: NumberFieldData):
     """Splitting at every ramified prime, plus the global tameness flag.
 
     Returns (profile dict p -> SplittingData, tame: bool).  `splitting_data`
-    verifies v_p(disc) = n - f_p at every tame prime.
+    verifies v_p(disc) = n - f_p at every tame prime.  The splittings are
+    computed once per field and kept on it; an error is kept as its class
+    and args and raised again on every call.
     """
-    profile = {}
-    tame = True
-    for p in factorize(fld.disc):
-        sd = splitting_data(fld, p)
-        if not sd.ramified:
-            raise ConsistencyError(f"{p} divides disc but splitting is unramified")
-        tame = tame and sd.tame
-        profile[p] = sd
-    return profile, tame
+    memo = _ramified_memo(fld)
+    if _failed(memo):
+        cls, args = memo
+        raise cls(*args)
+    return {sd.p: sd for sd in memo}, all(sd.tame for sd in memo)
 
 
 def is_fundamental_discriminant(d: int) -> bool:

@@ -168,10 +168,14 @@ def test_compare_builds_only_the_two_named_fields(tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["compare", DATA, "c972a", "c972b", "--witness-bound", "-2"],
     ["scan", "--cubic-search", "1300", "--witness-bound", "-1"],
+    ["compare", DATA, "c972a", "c972b", "--witness-bound", "0"],
+    ["scan", "--cubic-search", "1300", "--witness-bound", "0"],
+    ["scan", DATA, "--witness-bound", "-5"],
 ])
 def test_negative_witness_bound_is_rejected(capsys, argv):
+    # rejected before any report line, whether or not a search would run
     assert main(argv) == EXIT_PARSE
-    assert capsys.readouterr().err == "error: bound must be positive\n"
+    assert capsys.readouterr() == ("", "error: bound must be positive\n")
 
 
 def test_compare_disc_mismatch(tmp_path):

@@ -1,11 +1,17 @@
+import dataclasses
+import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from traceforms import numberfield
+from traceforms.cli import DECISION_PROCEDURES, ingest, oracle_checks
 from traceforms.errors import (
     BadBasisError,
     ConsistencyError,
+    HypothesisError,
     NotAFieldError,
     UnsupportedSplittingError,
 )
@@ -25,6 +31,8 @@ from traceforms.numberfield import (
     trace_gram,
 )
 from traceforms.quadform import GramMatrix, genus_equal, signature
+
+CORPUS = os.path.join(os.path.dirname(__file__), "data", "corpus.jsonl")
 
 
 def make_field(label, poly, **kw):
@@ -58,6 +66,8 @@ def test_field_x2_5_half_integer_basis():
         basis=((1, 0), (Fraction(1, 2), Fraction(1, 2))),
     )
     fld2 = field_from_record(rec)
+    assert fld2.basis == ((1, 0), (Fraction(1, 2), Fraction(1, 2)))
+    assert (fld2.rows, fld2.den) == (((2, 0), (1, 1)), 2)
     gram = trace_gram(fld2)
     assert [list(r) for r in gram.entries] == [[2, 1], [1, 3]]
     assert gram.det == 5
@@ -268,9 +278,40 @@ def test_trace_gram_basis_covariance():
             label="c23u", poly=(-1, -1, 0, 1), basis=tuple(tuple(r) for r in new_basis)
         )
         fld2 = field_from_record(rec)
+        # the supplied basis is kept as given, so its Gram is exactly U G U^T
+        assert [list(r) for r in fld2.basis] == new_basis
         g2 = trace_gram(fld2)
+        assert [list(r) for r in g2.entries] == mat_mul(
+            mat_mul(u, [list(r) for r in g.entries]), transpose(u)
+        )
         assert genus_equal(g, g2)
         assert g2.det == g.det
+
+
+def fraction_trace_gram(fld):
+    """Tr(b_i b_j) by its definition, on the Fraction rows of fld.basis."""
+    n = fld.n
+    sums = power_sums(list(fld.poly), 2 * n - 1)
+    basis = fld.basis
+    return [
+        [
+            sum(basis[i][k] * basis[j][l] * sums[k + l]
+                for k in range(n) for l in range(n))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def test_integer_trace_gram_matches_the_fraction_definition():
+    fields = [field_from_record(rec) for rec in ingest(CORPUS)]
+    fields.append(field_from_record(FieldRecord(
+        label="r2b", poly=(8, -40, 0, 1),
+        basis=((0, Fraction(1, 2), Fraction(1, 4)), (1, 0, 0), (1, Fraction(1, 2), 0)),
+    )))
+    assert len(fields) == 62
+    for fld in fields:
+        assert [list(r) for r in trace_gram(fld).entries] == fraction_trace_gram(fld)
 
 
 def test_is_fundamental_discriminant():
@@ -285,3 +326,69 @@ def test_is_fundamental_discriminant():
     assert not is_fundamental_discriminant(9)
     assert not is_fundamental_discriminant(-9)
     assert not is_fundamental_discriminant(0)
+
+
+def test_each_ramified_prime_is_factored_once(monkeypatch):
+    # x^3 + 6 (index 1) and x^3 + 12 (index 2, splitting at 2 supplied),
+    # both of disc -972 = -2^2 * 3^5
+    records = {rec.label: rec for rec in ingest(CORPUS)}
+    fa = field_from_record(records["c972a"])
+    fb = field_from_record(records["c972b"])
+    calls = Counter()
+    real = numberfield.factor_mod_p
+
+    def counting(poly, p):
+        calls[tuple(poly), p] += 1
+        return real(poly, p)
+
+    monkeypatch.setattr(numberfield, "factor_mod_p", counting)
+    for _name, proc in DECISION_PROCEDURES:
+        try:
+            proc(fa, fb)
+        except (HypothesisError, UnsupportedSplittingError):
+            pass
+    for fld in (fa, fb):
+        assert all(ok for _name, ok, _detail in oracle_checks(fld))
+    assert calls == {(fa.poly, 2): 1, (fa.poly, 3): 1, (fb.poly, 3): 1}
+
+
+def raised(func, *args):
+    with pytest.raises(Exception) as info:
+        func(*args)
+    return type(info.value), str(info.value)
+
+
+def test_profile_errors_are_raised_again_from_the_memo():
+    # x^3 + 12: 2 divides the index and the disc, and no splitting is supplied
+    fld = make_field("c972b", [12, 0, 0, 1])
+    first = raised(ramification_profile, fld)
+    assert first == (UnsupportedSplittingError, "splitting at 2 requires supplied data")
+    assert raised(ramification_profile, fld) == first
+    with pytest.raises(UnsupportedSplittingError) as info:
+        ramification_profile(fld)
+    assert info.value.p == 2
+    # the memo keeps the class and args, not the exception and its traceback
+    assert fld._ramified == (UnsupportedSplittingError, (2,))
+    # a supplied splitting at 23 that contradicts the native one
+    bad = make_field("c23", [-1, -1, 0, 1], splitting={23: [[1, 1], [1, 2]]})
+    first = raised(ramification_profile, bad)
+    assert first == (
+        ConsistencyError, "supplied splitting at 23 contradicts native factorization"
+    )
+    assert raised(ramification_profile, bad) == first
+    assert raised(splitting_data, bad, 23) == first
+
+
+def test_profile_memo_is_not_part_of_the_value():
+    fld = make_field("c23", [-1, -1, 0, 1])
+    fresh = make_field("c23", [-1, -1, 0, 1])
+    profile, tame = ramification_profile(fld)
+    assert splitting_data(fld, 23) is profile[23]
+    profile.clear()  # callers get a copy of the memo
+    assert set(ramification_profile(fld)[0]) == {23}
+    assert fld._ramified is not None and fresh._ramified is None
+    assert fld == fresh
+    assert "_ramified" not in repr(fld)
+    renamed = dataclasses.replace(fld, label="c23b")
+    assert renamed._ramified is None
+    assert ramification_profile(renamed) == (ramification_profile(fld)[0], tame)
