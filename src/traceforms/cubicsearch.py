@@ -41,6 +41,8 @@ from .polys import factor_monic_int, is_squarefree_q, pdeg, resultant_in_t
 
 # largest height max(|u|, |v|) tried for an index prime to the disc
 MAX_INDEX_HEIGHT = 64
+# largest shift s tried for a squarefree Res_x(f(x), g(t - s*x))
+MAX_SHIFT = 12
 
 
 @dataclass(frozen=True)
@@ -250,13 +252,13 @@ def _monic_image(form, disc: int):
     return _act(image, 1, (3 * a1 - 2 * b1) // (6 * a1), 0, 1)
 
 
-def cubics_isomorphic(f, g, max_shift: int = 12) -> bool:
+def cubics_isomorphic(f, g) -> bool:
     """Exact isomorphism test for the cubic fields of two irreducible monic
     cubics, via factorization of Res_x(f(x), g(t - s*x))."""
     f, g = list(f), list(g)
     if f == g:
         return True
-    for s in range(1, max_shift + 1):
+    for s in range(1, MAX_SHIFT + 1):
         r = resultant_in_t(f, g, shift=s)
         if not is_squarefree_q(r):
             continue

@@ -416,14 +416,13 @@ def signature_of_field(poly) -> tuple[int, int]:
     return r, (n - r) // 2
 
 
-def field_from_record(rec: FieldRecord, max_degree: int = DEGREE_CAP,
-                      max_disc: int = DISC_CAP) -> NumberFieldData:
+def field_from_record(rec: FieldRecord) -> NumberFieldData:
     poly = pnormalize(list(rec.poly))
     n = pdeg(poly)
     if n < 2:
         raise NotAFieldError(f"degree must be at least 2, got {n}")
-    if n > max_degree:
-        raise LimitError(f"degree {n} exceeds the cap {max_degree}")
+    if n > DEGREE_CAP:
+        raise LimitError(f"degree {n} exceeds the cap {DEGREE_CAP}")
     if poly[-1] != 1:
         raise NotAFieldError("defining polynomial must be monic")
     if poly[0] == 0:
@@ -433,8 +432,8 @@ def field_from_record(rec: FieldRecord, max_degree: int = DEGREE_CAP,
     if not is_irreducible_int(poly):
         raise NotAFieldError("defining polynomial is reducible over Q")
     pdisc = discriminant(poly)
-    if abs(pdisc) > max_disc:
-        raise LimitError(f"|poly disc| = {abs(pdisc)} exceeds the cap {max_disc}")
+    if abs(pdisc) > DISC_CAP:
+        raise LimitError(f"|poly disc| = {abs(pdisc)} exceeds the cap {DISC_CAP}")
     if rec.basis is not None:
         rows, den = _integer_rows(rec.basis, n)
         order = _validate_order(rows, den, poly, pdisc)

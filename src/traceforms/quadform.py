@@ -1,9 +1,11 @@
 """Integral and local quadratic form machinery.
 
 This module is the independent oracle of the package: genus symbols are
-computed directly from Gram matrices (exact diagonalization over Z_p for odd
-p, canonical 2-adic Jordan symbols at 2), so that the number-theoretic
-criteria elsewhere can be cross-validated against it.
+computed directly from Gram matrices, so that the number-theoretic criteria
+elsewhere can be cross-validated against it.  One Jordan splitting into 1x1
+and 2x2 components serves every prime: over Q it gives the signature, at
+odd p it is read through one diagonal, and at 2 it gives the canonical
+2-adic symbol.
 
 Conventions fixed project-wide:
   * Hasse-Witt invariant is the pairwise product prod_{i<j} (a_i, a_j)_p.
@@ -37,6 +39,7 @@ from .padic import (
     factorize,
     hilbert_symbol,
     jacobi_symbol,
+    least_nonresidue,
     square_class,
     val_unit,
 )
@@ -116,48 +119,80 @@ class DiagonalForm:
         )
 
 
-def _to_fraction_matrix(gram: GramMatrix):
-    return [[Fraction(x) for x in row] for row in gram.entries]
+def _jordan_split(gram: GramMatrix, p: int | None = None):
+    """Jordan splitting over Z_p, or over Q when p is None.
 
-
-def _sym_eliminate(a, active, i, pivot):
-    """Clear row/column i against the pivot entry a[i][i] (congruence)."""
-    for k in active:
-        if k == i or a[k][i] == 0:
+    Returns (scale, component) pairs in elimination order; a component is
+    a Fraction (a 1x1 block) or the entries (e00, e01, e11) of a 2x2 block,
+    not divided by p^scale.  Each step scans the active entries for the
+    least p-adic valuation, every nonzero entry counting as valuation 0
+    when p is None.  A diagonal entry of that valuation splits off as a 1x1
+    component; otherwise the 2x2 block on the first off-diagonal pair
+    (k < l) of that valuation does.  The block's diagonal entries then have
+    larger valuation than e01, so its determinant has valuation twice the
+    scale, and every congruence step has p-integral coefficients: the split
+    is exact over Z_p.
+    """
+    gram.det  # raises on singular input
+    a = [[Fraction(x) for x in row] for row in gram.entries]
+    active = list(range(gram.n))
+    comps = []
+    while active:
+        vals = {(k, l): 0 if p is None else val_unit(a[k][l], p)[0]
+                for k in active for l in active if a[k][l] != 0}
+        best = min(vals.values())
+        i = next((k for k in active if vals.get((k, k)) == best), None)
+        if i is not None:
+            pivot = a[i][i]
+            for k in active:
+                if k != i and a[k][i] != 0:
+                    factor = a[k][i] / pivot
+                    for c in active:
+                        a[k][c] -= factor * a[i][c]
+            active.remove(i)
+            comps.append((best, pivot))
             continue
-        factor = a[k][i] / pivot
-        for c in active:
-            a[k][c] -= factor * a[i][c]
-        a[k][i] = Fraction(0)
-    for k in active:
-        if k != i:
-            a[i][k] = Fraction(0)
+        i, j = next((k, l) for k in active for l in active
+                    if k < l and vals.get((k, l)) == best)
+        m00, m01, m11 = a[i][i], a[i][j], a[j][j]
+        det = m00 * m11 - m01 * m01
+        for k in active:
+            ci, cj = a[k][i], a[k][j]
+            if k in (i, j) or (ci == 0 and cj == 0):
+                continue
+            # coefficients of rows i, j cancelling row k's (i, j) entries
+            x = (ci * m11 - cj * m01) / det
+            y = (cj * m00 - ci * m01) / det
+            for c in active:
+                a[k][c] -= x * a[i][c] + y * a[j][c]
+        active.remove(i)
+        active.remove(j)
+        comps.append((best, (m00, m01, m11)))
+    return comps
+
+
+def _diagonal(comps) -> list[Fraction]:
+    """Diagonal entries of a Jordan splitting over Q or at odd p.
+
+    A 2x2 block (e00, e01, e11) reads as <t, det/t> with t = e00 + 2 e01 +
+    e11, its value at the sum of its basis vectors.  There t is nonzero and
+    of the block's scale: over Q the block has e00 = e11 = 0, and at odd p
+    both have larger valuation than 2 e01.
+    """
+    out = []
+    for _, comp in comps:
+        if isinstance(comp, tuple):
+            e00, e01, e11 = comp
+            t = e00 + 2 * e01 + e11
+            out += (t, (e00 * e11 - e01 * e01) / t)
+        else:
+            out.append(comp)
+    return out
 
 
 def rational_diagonal(gram: GramMatrix) -> list[Fraction]:
-    """Diagonalize over Q by symmetric elimination; returns the diagonal."""
-    a = _to_fraction_matrix(gram)
-    active = list(range(gram.n))
-    out = []
-    while active:
-        i = next((k for k in active if a[k][k] != 0), None)
-        if i is None:
-            pair = next(
-                ((k, l) for k in active for l in active if k < l and a[k][l] != 0),
-                None,
-            )
-            if pair is None:
-                raise SingularFormError("Gram matrix is singular")
-            k, l = pair
-            for c in active:
-                a[k][c] += a[l][c]
-            for r in active:
-                a[r][k] += a[r][l]
-            i = k
-        _sym_eliminate(a, active, i, a[i][i])
-        out.append(a[i][i])
-        active.remove(i)
-    return out
+    """Diagonal of a form equivalent over Q, from the splitting over Q."""
+    return _diagonal(_jordan_split(gram))
 
 
 def signature(gram: GramMatrix) -> tuple[int, int]:
@@ -178,54 +213,17 @@ def hasse_witt(form: DiagonalForm, p: int) -> int:
     return out
 
 
-def _local_diagonal(gram: GramMatrix, p: int) -> list[Fraction]:
-    """Diagonal of a Z_p-equivalent diagonal form, p odd, by elimination.
-
-    Each step pivots on an entry of least valuation (moved onto the
-    diagonal first when only an off-diagonal entry has it), so every
-    congruence transformation has p-unit denominators and the diagonal's
-    class over Z_p is exact.
-    """
-    check_odd_prime(p)
-    gram.det  # raises on singular input
-    a = _to_fraction_matrix(gram)
-    active = list(range(gram.n))
-    diag = []
-    while active:
-        vals = {}
-        best = None
-        for k in active:
-            for l in active:
-                if a[k][l] != 0:
-                    v = val_unit(a[k][l], p)[0]
-                    vals[(k, l)] = v
-                    if best is None or v < best:
-                        best = v
-        i = next((k for k in active if vals.get((k, k)) == best), None)
-        if i is None:
-            k, l = next(pos for pos, v in sorted(vals.items()) if v == best and pos[0] != pos[1])
-            for c in active:
-                a[k][c] += a[l][c]
-            for r in active:
-                a[r][k] += a[r][l]
-            i = k
-        _sym_eliminate(a, active, i, a[i][i])
-        diag.append(a[i][i])
-        active.remove(i)
-    return diag
-
-
 def diagonalize_local(gram: GramMatrix, p: int) -> DiagonalForm:
-    """Diagonal form Z_p-equivalent to the Gram matrix, p odd.
+    """Canonical diagonal form Z_p-equivalent to the Gram matrix, p odd.
 
-    Each entry is canonicalized to p^k or p^k*u_p, sorted by scale.
+    Per Jordan scale s of `local_symbol_odd`, in increasing order, it is
+    p^s * <1, ..., 1, d> with d = 1 when eps = +1 and d = u_p otherwise.
     """
-    canonical = []
-    for d in _local_diagonal(gram, p):
-        v, u = val_unit(d, p)
-        canonical.append(p**v * square_class(u, p).rep)
-    canonical.sort(key=lambda e: (val_unit(e, p)[0], e))
-    return DiagonalForm(tuple(canonical), spot=p)
+    entries = []
+    for scale, dim, eps in local_symbol_odd(gram, p):
+        d = 1 if eps == 1 else least_nonresidue(p)
+        entries += [p**scale] * (dim - 1) + [p**scale * d]
+    return DiagonalForm(tuple(entries), spot=p)
 
 
 def _scale_symbol(entries, p: int):
@@ -243,65 +241,6 @@ def _scale_symbol(entries, p: int):
 
 # ---------------------------------------------------------------------------
 # 2-adic machinery
-
-
-def _val2(x: Fraction) -> int:
-    return val_unit(x, 2)[0]
-
-
-def _split_two_adic(a, active):
-    """Split a symmetric 2-integral matrix into 1x1 and even 2x2 components.
-
-    Returns a list of (scale, unit) and (scale, (e00, e01, e11)) items where
-    the 2x2 payload is the unimodular even block (odd off-diagonal).
-    """
-    comps = []
-    active = list(active)
-    while active:
-        best = None
-        for k in active:
-            for l in active:
-                if a[k][l] != 0:
-                    v = _val2(a[k][l])
-                    if best is None or v < best:
-                        best = v
-        diag_idx = next(
-            (k for k in active if a[k][k] != 0 and _val2(a[k][k]) == best), None
-        )
-        if diag_idx is not None:
-            i = diag_idx
-            _sym_eliminate(a, active, i, a[i][i])
-            comps.append((best, a[i][i] / 2**best))
-            active.remove(i)
-            continue
-        i, j = next(
-            (k, l)
-            for k in active
-            for l in active
-            if k < l and a[k][l] != 0 and _val2(a[k][l]) == best
-        )
-        # split off the even 2x2 block on (i, j)
-        m00, m01, m11 = a[i][i], a[i][j], a[j][j]
-        det = m00 * m11 - m01 * m01
-        others = [k for k in active if k not in (i, j)]
-        for k in others:
-            ci, cj = a[k][i], a[k][j]
-            if ci == 0 and cj == 0:
-                continue
-            # coefficients of rows i, j cancelling row k's (i, j) entries
-            x = (ci * m11 - cj * m01) / det
-            y = (cj * m00 - ci * m01) / det
-            for c in active:
-                a[k][c] -= x * a[i][c] + y * a[j][c]
-        for k in others:
-            a[i][k] = a[k][i] = Fraction(0)
-            a[j][k] = a[k][j] = Fraction(0)
-        scale = best
-        two_k = 2**scale
-        comps.append((scale, (m00 / two_k, m01 / two_k, m11 / two_k)))
-        active.remove(i)
-        active.remove(j)
-    return comps
 
 
 def _absorb_even_block(u: Fraction, block):
@@ -327,16 +266,14 @@ def _unit8(x: Fraction) -> int:
 
 def _two_adic_symbol(gram: GramMatrix):
     """Raw 2-adic symbol: sorted list of [scale, dim, sign, type, oddity]."""
-    gram.det
-    a = _to_fraction_matrix(gram)
-    comps = _split_two_adic(a, range(gram.n))
     by_scale: dict[int, dict] = {}
-    for scale, payload in comps:
+    for scale, comp in _jordan_split(gram, 2):
         slot = by_scale.setdefault(scale, {"odd": [], "even": []})
-        if isinstance(payload, tuple):
-            slot["even"].append(payload)
+        two_k = 2**scale
+        if isinstance(comp, tuple):
+            slot["even"].append(tuple(e / two_k for e in comp))
         else:
-            slot["odd"].append(payload)
+            slot["odd"].append(comp / two_k)
     symbol = []
     for scale in sorted(by_scale):
         odd = by_scale[scale]["odd"]
@@ -455,7 +392,8 @@ class GenusSymbol:
 
 def local_symbol_odd(gram: GramMatrix, p: int):
     """(scale, dim, eps) per Jordan scale at odd p; eps is the det Legendre sign."""
-    return _scale_symbol(_local_diagonal(gram, p), p)
+    check_odd_prime(p)
+    return _scale_symbol(_diagonal(_jordan_split(gram, p)), p)
 
 
 def genus_symbol(gram: GramMatrix) -> GenusSymbol:
@@ -916,6 +854,11 @@ class _MeetInTheMiddle:
         return u
 
 
+# the walk states one side may store: 2000 * 84 pops times 12 children, the
+# largest budget at n = 3
+WALK_STATES_CAP = 2_016_000
+
+
 def isometry_witness_search(g1: GramMatrix, g2: GramMatrix, bound: int):
     """Search for U with U^T G1 U = G2 and det(U) = +-1, or return None.
 
@@ -927,15 +870,15 @@ def isometry_witness_search(g1: GramMatrix, g2: GramMatrix, bound: int):
     this equals the first witness found by searching at each bound 1, 2,
     ..., bound in turn.  Every returned witness is mapped back to the
     original bases and re-verified exactly; None never certifies
-    non-isometry.
+    non-isometry.  A bound whose walk could store more than
+    `WALK_STATES_CAP` states per side raises LimitError before any search.
     """
     if g1.n != g2.n:
         raise HypothesisError("witness search needs equal dimensions")
     if bound < 1:
         raise FormRangeError("bound must be positive")
-    # nothing enumerates this box: the cap stays only as a limit on the
-    # walk budget a caller may ask for
-    if (2 * bound + 1) ** g1.n > 5_000_000:
+    # each pop stores at most 2n(n-1) children per side
+    if 2000 * bound * 2 * g1.n * (g1.n - 1) > WALK_STATES_CAP:
         raise LimitError("witness search space too large")
     if not genus_equal(g1, g2):
         return None

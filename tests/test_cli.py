@@ -141,6 +141,18 @@ def test_compare_prints_the_corpus_witness():
     }
 
 
+def test_compare_prints_a_degree_six_witness_at_bound_eight(capsys):
+    # the walk budget at bound 8 is within the cap at n = 6
+    argv = ["compare", DATA, "s6a", "s6c", "--witness-bound", "8"]
+    assert main(argv) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out.splitlines()[-1]) == {
+        "type": "witness", "a": "s6a", "b": "s6c", "bound": 8,
+        "matrix": [[(-1) ** r * int(r == c) for c in range(6)] for r in range(6)],
+    }
+
+
 def test_compare_builds_only_the_two_named_fields(tmp_path, monkeypatch):
     import traceforms.cli as cli
 

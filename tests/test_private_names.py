@@ -1,0 +1,57 @@
+"""Every module-level underscore name of the package is read somewhere in
+its own module: a private helper that nothing calls is dead code."""
+
+import ast
+from pathlib import Path
+
+import traceforms
+
+PACKAGE = Path(traceforms.__file__).resolve().parent
+
+
+def unread_private_names(tree):
+    """(line, name) for each module-level underscore name (dunders aside)
+    that no expression of the module reads."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [(a.asname or a.name).split(".")[0] for a in node.names]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                defined.setdefault(name, node.lineno)
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted((line, name) for name, line in defined.items() if name not in read)
+
+
+def test_unread_private_names_are_detected():
+    source = (
+        "import os as _os\n"
+        "_CACHE = {}\n"
+        "_used = 1\n"
+        "__all__ = []\n"
+        "def _helper():\n    return _used\n"
+        "class _Dead:\n    pass\n"
+        "def public():\n    _local = 2\n    return _local\n"
+    )
+    assert unread_private_names(ast.parse(source)) == [
+        (1, "_os"), (2, "_CACHE"), (5, "_helper"), (7, "_Dead"),
+    ]
+
+
+def test_package_private_names_are_read_in_their_module():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in modules
+        for line, name in unread_private_names(ast.parse(path.read_text()))
+    ]
+    assert found == []

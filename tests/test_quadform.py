@@ -36,6 +36,7 @@ from traceforms.quadform import (
     genus_symbol,
     hasse_witt,
     _MeetInTheMiddle,
+    _jordan_split,
     _round_div,
     isometry_witness_search,
     local_symbol_odd,
@@ -128,6 +129,9 @@ def test_gram_validation():
         GramMatrix([[1, 2], [3, 4]])  # not symmetric
     with pytest.raises(SingularFormError):
         GramMatrix([[1, 1], [1, 1]]).det  # singular
+    for p in (None, 2, 3):
+        with pytest.raises(SingularFormError):
+            _jordan_split(GramMatrix([[0, 1, 1], [1, 0, 1], [1, 1, 2]]), p)
 
 
 def test_signature_examples():
@@ -190,6 +194,94 @@ def test_local_symbol_odd_reads_the_local_diagonal():
         assert local_symbol_odd(g, p) == diagonal_local_symbol_odd(
             diagonalize_local(g, p), p
         ), (g, p)
+
+
+def eliminate_against(a, active, i):
+    """Clear row and column i of the symmetric matrix a against a[i][i]."""
+    for k in active:
+        if k != i and a[k][i] != 0:
+            factor = a[k][i] / a[i][i]
+            for c in active:
+                a[k][c] -= factor * a[i][c]
+
+
+def add_row_and_column(a, active, k, l):
+    """Row k += row l, then column k += column l."""
+    for c in active:
+        a[k][c] += a[l][c]
+    for r in active:
+        a[r][k] += a[r][l]
+
+
+def reference_rational_diagonal(gram):
+    """Diagonal over Q with the first nonzero diagonal pivot, moving the
+    first nonzero off-diagonal entry onto the diagonal when there is none."""
+    a = [[Fraction(x) for x in row] for row in gram.entries]
+    active, out = list(range(gram.n)), []
+    while active:
+        i = next((k for k in active if a[k][k] != 0), None)
+        if i is None:
+            k, l = next((k, l) for k in active for l in active
+                        if k < l and a[k][l] != 0)
+            add_row_and_column(a, active, k, l)
+            i = k
+        eliminate_against(a, active, i)
+        out.append(a[i][i])
+        active.remove(i)
+    return out
+
+
+def reference_local_diagonal(gram, p):
+    """Diagonal over Z_p, p odd, pivoting on an entry of least valuation and
+    moving an off-diagonal one onto the diagonal by a row and column add."""
+    a = [[Fraction(x) for x in row] for row in gram.entries]
+    active, out = list(range(gram.n)), []
+    while active:
+        vals = {(k, l): val_unit(a[k][l], p)[0]
+                for k in active for l in active if a[k][l] != 0}
+        best = min(vals.values())
+        i = next((k for k in active if vals.get((k, k)) == best), None)
+        if i is None:
+            k, l = min(pos for pos, v in vals.items() if v == best and pos[0] != pos[1])
+            add_row_and_column(a, active, k, l)
+            i = k
+        eliminate_against(a, active, i)
+        out.append(a[i][i])
+        active.remove(i)
+    return out
+
+
+def gram_with_diagonal(rng, n, diagonal):
+    """A random nonsingular Gram matrix whose diagonal comes from `diagonal`."""
+    while True:
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            m[i][i] = diagonal()
+            for j in range(i + 1, n):
+                m[i][j] = m[j][i] = rng.randint(-6, 6)
+        if det_int(m) != 0:
+            return GramMatrix(m)
+
+
+def test_jordan_split_matches_the_row_add_eliminations():
+    # diagonals divisible by p, or all zero, make the split take 2x2 blocks
+    rng = random.Random(61)
+    blocks = {None: 0, 3: 0, 5: 0, 7: 0}
+    for _ in range(60):
+        for p in (3, 5, 7):
+            n = rng.randint(2, 5)
+            for g in (gram_with_diagonal(rng, n, lambda: p * rng.randint(-3, 3)),
+                      gram_with_diagonal(rng, n, lambda: 0)):
+                diag = reference_rational_diagonal(g)
+                pos = sum(1 for d in diag if d > 0)
+                assert signature(g) == (pos, n - pos), g
+                want = diagonal_local_symbol_odd(
+                    DiagonalForm(tuple(reference_local_diagonal(g, p)), spot=p), p)
+                assert local_symbol_odd(g, p) == want, (g, p)
+                assert diagonal_local_symbol_odd(diagonalize_local(g, p), p) == want
+                for q in (None, p):
+                    blocks[q] += any(isinstance(c, tuple) for _, c in _jordan_split(g, q))
+    assert min(blocks.values()) > 100, blocks
 
 
 def test_local_symbols_of_the_corpus_are_pinned():
@@ -380,12 +472,17 @@ def test_witness_search_examples():
 
 
 def test_witness_bound_is_checked_before_the_search():
-    # the cap (2 * bound + 1)^n <= 5,000,000 holds the walk budget a caller
-    # may ask for; it applies even to a pair whose walk would collide at once
+    # the walk stores at most 2000 * bound pops times 2n(n - 1) children per
+    # side, capped at 2,016,000: bound <= 16 at n = 6 (and <= 84 at n = 3);
+    # the cap applies even to a pair whose walk would collide at once
     g = GramMatrix([[int(r == c) * (r + 1) for c in range(6)] for r in range(6)])
-    assert isometry_witness_search(g, g, 6) is not None
+    assert isometry_witness_search(g, g, 16) is not None
     with pytest.raises(LimitError):
-        isometry_witness_search(g, g, 7)
+        isometry_witness_search(g, g, 17)
+    g3 = diag_gram(1, 2, 3)
+    assert isometry_witness_search(g3, g3, 84) is not None
+    with pytest.raises(LimitError):
+        isometry_witness_search(g3, g3, 85)
     for bound in (0, -2):
         with pytest.raises(FormRangeError):
             isometry_witness_search(g, g, bound)
