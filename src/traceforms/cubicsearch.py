@@ -6,8 +6,11 @@ the maximal order of a cubic field exactly when F is irreducible and
 maximal at every p (Davenport-Heilbronn).  So each cubic field is one
 class of irreducible maximal forms of disc(F) = disc(K), and listing one
 reduced form per class lists every field exactly once, with no maximal
-order and no isomorphism test.  The enumeration follows Belabas (Math.
-Comp. 66, 1997), with every bound in integer arithmetic.
+order and no isomorphism test.  With a > 0, F is irreducible exactly when
+F(x, 1) has no rational root (`polys.has_rational_root`, the test that
+also decides `polys.is_irreducible_int` in degree <= 3).  The enumeration
+follows Belabas (Math. Comp. 66, 1997), with every bound in integer
+arithmetic.
 
 * D < 0.  F has one real root theta and complex roots tau, conj(tau).  F
   is reduced when a > 0, 0 < Re tau < 1/2 and |tau| > 1.  Since F(x, 1) > 0
@@ -37,7 +40,13 @@ from math import gcd, isqrt
 
 from .errors import ConsistencyError, LimitError
 from .padic import is_prime
-from .polys import factor_monic_int, is_squarefree_q, pdeg, resultant_in_t
+from .polys import (
+    factor_monic_int,
+    has_rational_root,
+    is_squarefree_q,
+    pdeg,
+    resultant_in_t,
+)
 
 # largest height max(|u|, |v|) tried for an index prime to the disc
 MAX_INDEX_HEIGHT = 64
@@ -86,22 +95,6 @@ def _maximal_at(a, b, c, d, p) -> bool:
         v = ((a * r + b) * r + c) * r + d
         if v % p == 0 and ((3 * a * r + 2 * b) * r + c) % p == 0:
             return v % (p * p) != 0
-    return True
-
-
-def _irreducible(a, b, c, d) -> bool:
-    """No rational root s/q: such a root has q | a and s | d."""
-    if d == 0:
-        return False
-    qs = [q for q in range(1, a + 1) if a % q == 0]
-    m = abs(d)
-    for s in range(1, isqrt(m) + 1):
-        if m % s:
-            continue
-        for t in (s, -s, m // s, -(m // s)):
-            for q in qs:
-                if ((a * t + b * q) * t + c * q * q) * t + d * q * q * q == 0:
-                    return False
     return True
 
 
@@ -279,7 +272,7 @@ def enumerate_cubic_fields(limit: int) -> list[CubicFieldClass]:
     for forms in (_negative_forms(limit), _positive_forms(limit)):
         for disc, form in forms:
             if all(_maximal_at(*form, p) for p in _square_primes(disc, primes)) and (
-                _irreducible(*form)
+                not has_rational_root(form[::-1])
             ):
                 a, b, c, d = _monic_image(form, disc)
                 out.append(CubicFieldClass(disc, form, (a * a * d, a * c, b, 1)))

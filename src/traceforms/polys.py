@@ -3,8 +3,9 @@
 Polynomials are coefficient lists with the constant term first, so
 ``[b, a, 1]`` is x^2 + a x + b.  Integer polynomials stay integer; anything
 that needs division goes through ``fractions.Fraction``.  Includes Sturm
-real-root counting, factorization mod p, and Zassenhaus factorization over
-the integers (monic case), which is all the field machinery needs.
+real-root counting, factorization mod p, Zassenhaus factorization over
+the integers (monic case) and a rational-root test, which is all the field
+machinery needs.
 """
 
 from __future__ import annotations
@@ -496,13 +497,66 @@ def factor_monic_int(f):
     return sorted(([list(g), m] for g, m in out.items()), key=lambda t: (pdeg(t[0]), t[0]))
 
 
-def is_irreducible_int(f) -> bool:
-    """Irreducibility over Q of a monic integer polynomial."""
+# has_rational_root tries divisors while isqrt(|f[0]|) and |lead| are at
+# most this; near it the trial loop costs about what Zassenhaus does on a
+# cubic, and past it the loop would grow without bound on huge input
+ROOT_DIVISOR_CAP = 10_000
+
+
+def has_rational_root(f) -> bool:
+    """Whether an integer polynomial (constant term first, any nonzero
+    leading coefficient) has a root in Q.
+
+    A root s/q in lowest terms has q | lead and s | f[0], so the divisor
+    pairs decide it.  When isqrt(|f[0]|) or |lead| passes
+    ``ROOT_DIVISOR_CAP``, the linear factors of the monic image
+    lead^(n-1) f(y / lead) decide it instead.
+    """
     f = pnormalize(f)
-    if pdeg(f) < 1:
-        return False
-    if pdeg(f) == 1:
+    n = pdeg(f)
+    if n < 1:
+        return not f
+    if f[0] == 0:
         return True
+    lead, m = f[-1], abs(f[0])
+    top = isqrt(m)
+    if max(top, abs(lead)) > ROOT_DIVISOR_CAP:
+        monic = [c * lead ** (n - 1 - i) for i, c in enumerate(f[:-1])] + [1]
+        return any(pdeg(g) == 1 for g, _ in factor_monic_int(monic))
+    qs = [q for q in range(1, abs(lead) + 1) if lead % q == 0]
+    lower = f[-2::-1]
+    for s in range(1, top + 1):
+        if m % s:
+            continue
+        for t in (s, -s, m // s, -(m // s)):
+            for q in qs:
+                # q^n f(t / q)
+                value, qpow = lead, 1
+                for c in lower:
+                    qpow *= q
+                    value = value * t + c * qpow
+                if value == 0:
+                    return True
+    return False
+
+
+def is_irreducible_int(f) -> bool:
+    """Irreducibility over Q of a monic integer polynomial.
+
+    A reducible polynomial of degree <= 3 has a linear factor, so there
+    the rational-root test is exact.  From degree 4 on, the polynomial
+    must be squarefree and Zassenhaus must find a single factor.
+    """
+    f = pnormalize(f)
+    n = pdeg(f)
+    if n < 1:
+        return False
+    if f[-1] != 1:
+        raise ValueError("is_irreducible_int requires a monic polynomial")
+    if n == 1:
+        return True
+    if n <= 3:
+        return not has_rational_root(f)
     if f[0] == 0:
         return False
     if not is_squarefree_q(f):

@@ -4,12 +4,10 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import traceforms
-
+from _optimized import CHILD_ENV
 from traceforms.cli import (
     EXIT_INVARIANT,
     EXIT_NO_CRITERION,
@@ -357,10 +355,9 @@ def test_main_smoke_compare(tmp_path, capsys):
 
 def test_python_m_traceforms_runs_the_cli(tmp_path):
     path = write_records(tmp_path, [{"label": "a", "poly": [-1, -1, 0, 1]}])
-    src = str(Path(traceforms.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "traceforms", "invariants", path],
-        env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        env=CHILD_ENV, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     expected = io.StringIO()

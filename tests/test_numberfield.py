@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from traceforms import numberfield
+from traceforms import numberfield, polys
 from traceforms.cli import DECISION_PROCEDURES, ingest, oracle_checks
 from traceforms.errors import (
     BadBasisError,
@@ -236,6 +236,26 @@ def test_field_validation_errors():
         field_from_record(
             FieldRecord(label="b2", poly=(-5, 0, 1), basis=((1, 0), (0, 1)))
         )
+
+
+def test_degree_at_most_3_fields_are_built_without_zassenhaus(monkeypatch):
+    # irreducibility in degree <= 3 is a rational-root test; Zassenhaus
+    # stays the test from degree 4 on
+    small = [rec for rec in ingest(CORPUS) if len(rec.poly) <= 4]
+    expected = [field_from_record(rec) for rec in small]
+    calls = []
+
+    def zassenhaus(f):
+        calls.append(list(f))
+        raise RuntimeError("Zassenhaus called")
+
+    monkeypatch.setattr(polys, "_factor_squarefree_monic_int", zassenhaus)
+    assert len(small) == 34
+    assert [field_from_record(rec) for rec in small] == expected
+    assert calls == []
+    with pytest.raises(RuntimeError, match="Zassenhaus called"):
+        make_field("z8", [1, 0, 0, 0, 1])
+    assert calls == [[1, 0, 0, 0, 1]]
 
 
 def test_local_cubic_gram_identity():

@@ -1,14 +1,20 @@
+import itertools
 import random
+from math import isqrt
 
 import pytest
 
 from _optimized import run_optimized
 from traceforms.errors import RepeatedRootError
 from traceforms.polys import (
+    ROOT_DIVISOR_CAP,
+    _factor_squarefree_monic_int,
     discriminant,
     factor_mod_p,
     factor_monic_int,
+    has_rational_root,
     is_irreducible_int,
+    is_squarefree_q,
     mp_mul,
     mp_normalize,
     pdeg,
@@ -103,6 +109,69 @@ def test_is_irreducible_int():
     assert not is_irreducible_int([1, 2, 1])
     assert not is_irreducible_int([0, 1, 1])
     assert is_irreducible_int([7, 0, 0, 0, 0, 0, 1])  # x^6 + 7 (Eisenstein)
+
+
+@pytest.mark.parametrize("poly", [[-1, 0, 4], [1, 3, 2], [1, 0, 0, 0, 2], [1, 1, -1]])
+def test_is_irreducible_int_rejects_non_monic(poly):
+    # 4x^2 - 1 and 2x^2 + 3x + 1 used to come back irreducible
+    with pytest.raises(ValueError):
+        is_irreducible_int(poly)
+
+
+def test_is_irreducible_int_monic_check_survives_python_O():
+    proc = run_optimized("""
+from traceforms.polys import is_irreducible_int
+try:
+    print(is_irreducible_int([-1, 0, 4]))
+except ValueError:
+    raise SystemExit(0)
+raise SystemExit(1)
+""")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_has_rational_root_non_monic():
+    assert has_rational_root([-1, 0, 4])  # 4x^2 - 1, roots +-1/2
+    assert has_rational_root([1, 3, 2])  # 2x^2 + 3x + 1, roots -1/2, -1
+    assert has_rational_root([-1, 3, -3, 9])  # (3x - 1)(3x^2 + 1)
+    assert has_rational_root([0, 1, 1])
+    assert not has_rational_root([1, 0, 2])
+    assert not has_rational_root([-2, 0, 0, 3])
+    assert not has_rational_root([5])
+    assert has_rational_root([-3, 2])  # 2x - 3
+
+
+def test_irreducibility_by_roots_matches_zassenhaus_in_degree_2_and_3():
+    checked = 0
+    for n in (2, 3):
+        for low in itertools.product(range(-6, 7), repeat=n):
+            f = list(low) + [1]
+            reference = is_squarefree_q(f) and len(_factor_squarefree_monic_int(f)) == 1
+            assert is_irreducible_int(f) == reference, f
+            checked += 1
+    assert checked == 13**2 + 13**3
+
+
+def test_form_roots_match_the_monic_image():
+    # F = (a, b, c, d) is irreducible iff x^3 + b x^2 + ac x + a^2 d is
+    for a in range(1, 4):
+        for b, c, d in itertools.product(range(-4, 5), repeat=3):
+            image = [a * a * d, a * c, b, 1]
+            irreducible = factor_monic_int(image) == [[image, 1]]
+            assert (not has_rational_root([d, c, b, a])) == irreducible, (a, b, c, d)
+
+
+@pytest.mark.parametrize("poly, root", [
+    ([-(10**39), 0, 0, 1], True),  # x^3 - 10^39, root 10^13
+    ([10**40, 0, 0, 1], False),  # x^3 + 10^40
+    ([-1, 20001, -1, 20001], True),  # (20001 x - 1)(x^2 + 1)
+    ([1, 0, 20001], False),
+    ([-(10**12), 1], True),
+])
+def test_has_rational_root_past_the_divisor_cap(poly, root):
+    # a divisor search would take up to 10^20 steps; Zassenhaus decides
+    assert max(isqrt(abs(poly[0])), abs(poly[-1])) > ROOT_DIVISOR_CAP
+    assert has_rational_root(poly) == root
 
 
 def test_factor_monic_int_roundtrip():
