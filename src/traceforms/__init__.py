@@ -32,6 +32,7 @@ from .numberfield import (
     field_from_record,
     is_fundamental_discriminant,
     make_splitting,
+    maximal_order,
     ramification_profile,
     signature_of_field,
     splitting_data,
@@ -51,18 +52,14 @@ from .quadform import (
     GenusSymbol,
     GramMatrix,
     canonical_two_adic_symbol,
-    diagonalize_local,
     genus_equal,
     genus_symbol,
-    hasse_witt,
     isometry_witness_search,
-    model_equivalent,
     model_form,
     signature,
 )
 from .raminv import (
     first_ramification_factor,
-    infinity_factor,
     local_trace_model,
     nonresidue_odd_count,
     second_ramification_factor,

@@ -8,10 +8,6 @@ asymptotics.
 from __future__ import annotations
 
 
-def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def transpose(m):
     return [list(col) for col in zip(*m)]
 

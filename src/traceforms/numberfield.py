@@ -5,7 +5,8 @@ optional integral basis and optional per-prime splitting data for primes
 dividing the index (where native factorization mod p is not valid).  The
 maximal order is computed by Dedekind p-maximality tests plus the standard
 radical/multiplier enlargement loop at every prime whose square divides the
-polynomial discriminant.
+polynomial discriminant.  A build computes that discriminant once; its sign
+also gives the signature wherever Brill's rule leaves one choice.
 
 All order arithmetic runs on one integer core: an order is a pair (B, den)
 of integer rows B, upper triangular with positive diagonal, over one
@@ -45,6 +46,11 @@ from .polys import (
     discriminant,
     factor_mod_p,
     is_irreducible_int,
+    mp_divmod,
+    mp_gcd,
+    mp_mul,
+    mp_normalize,
+    mp_squarefree_decomposition,
     pdeg,
     pmul,
     pnormalize,
@@ -308,27 +314,27 @@ def _enlarge_at(order, red, p):
 def _dedekind_step(poly, p):
     """Dedekind's criterion with enlargement data.
 
-    Returns (maximal?, ustar, gain): when not maximal, the order
-    Z[theta] + (ustar(theta)/p) Z[theta] has index p^gain over Z[theta].
+    With f = prod a_i^i mod p the squarefree split (a_i squarefree and
+    coprime), g = prod a_i is the radical of f mod p and h = prod a_i^(i-1)
+    its cofactor, so no irreducible factor is needed.  Z[theta] is
+    p-maximal iff z = gcd((g h - f)/p, g, h) mod p is constant.  Returns
+    (maximal?, ustar, gain): when not maximal, the order
+    Z[theta] + (ustar(theta)/p) Z[theta] with ustar = f / z mod p has index
+    p^gain = p^deg z over Z[theta].
     """
-    fac = factor_mod_p(poly, p)
-    gbar = [1]
-    for g, _ in fac:
-        gbar = pnormalize([c % p for c in pmul(gbar, g)])
-    hbar = [1]
-    for g, mult in fac:
+    gbar = hbar = [1]
+    for a, mult in mp_squarefree_decomposition(mp_normalize(poly, p), p):
+        gbar = mp_mul(gbar, a, p)
         for _ in range(mult - 1):
-            hbar = pnormalize([c % p for c in pmul(hbar, g)])
+            hbar = mp_mul(hbar, a, p)
     gh = pmul(gbar, hbar)
     diff = [
         ((gh[i] if i < len(gh) else 0) - (poly[i] if i < len(poly) else 0))
         for i in range(max(len(gh), len(poly)))
     ]
     if any(c % p for c in diff):
-        raise ConsistencyError(f"factors mod {p} do not multiply to the polynomial")
+        raise ConsistencyError(f"squarefree split mod {p} does not multiply to f")
     fbar = pnormalize([(c // p) % p for c in diff])
-    from .polys import mp_divmod, mp_gcd, mp_normalize
-
     z = mp_gcd(fbar, mp_gcd(gbar, hbar, p), p)
     if pdeg(z) <= 0:
         return True, None, 0
@@ -336,13 +342,14 @@ def _dedekind_step(poly, p):
     return False, ustar, pdeg(z)
 
 
-def _maximal_order(poly):
-    """(B, den) of the maximal order; see `maximal_order`."""
+def _maximal_order(poly, pdisc):
+    """(B, den) of the maximal order of a polynomial of disc pdisc; see
+    `maximal_order`."""
     n = pdeg(poly)
     rows = [[1 if c == k else 0 for c in range(n)] for k in range(n)]
     den = 1
     red = None
-    for p, e in factorize(discriminant(poly)).items():
+    for p, e in factorize(pdisc).items():
         if e < 2:
             continue
         maximal, ustar, gained = _dedekind_step(poly, p)
@@ -384,7 +391,7 @@ def maximal_order(poly):
     radical/multiplier loop finishes the rare deeper-index cases and stops
     once the index gain reaches its cap v_p(poly disc) // 2.
     """
-    rows, den = _maximal_order(poly)
+    rows, den = _maximal_order(poly, discriminant(poly))
     return [[Fraction(x, den) for x in row] for row in rows]
 
 
@@ -409,11 +416,36 @@ def _disc_and_index(order, pdisc):
     return disc, index
 
 
-def signature_of_field(poly) -> tuple[int, int]:
-    """(real embeddings, complex-conjugate pairs) via Sturm counting."""
+def _signature(poly, pdisc) -> tuple[int, int]:
+    """(r, s) of a polynomial of degree n and discriminant pdisc.
+
+    Brill's theorem, sign(disc) = (-1)^s, leaves the values of s in
+    [0, n/2] of the right parity.  When one remains (every n <= 3, and
+    s = 1 for n = 4 or 5 when disc < 0) it is the answer; otherwise Sturm
+    counting gives r, checked against the same parity.
+    """
     n = pdeg(poly)
-    r = sturm_real_roots(poly)
-    return r, (n - r) // 2
+    parity = 0 if pdisc > 0 else 1
+    choices = range(parity, n // 2 + 1, 2)
+    if len(choices) == 1:
+        s = choices[0]
+    else:
+        s = (n - sturm_real_roots(poly)) // 2
+        if s % 2 != parity:
+            raise ConsistencyError("discriminant sign does not match the signature")
+    return n - 2 * s, s
+
+
+def signature_of_field(poly) -> tuple[int, int]:
+    """(real embeddings, complex-conjugate pairs) of a monic integer
+    polynomial with nonzero discriminant: Brill's sign rule where it
+    leaves one value of s, Sturm counting where it leaves two.  Any other
+    polynomial raises ValueError: `discriminant` is exact only for monic
+    integer input, and its sign is what the rule reads."""
+    poly = pnormalize(list(poly))
+    if not poly or poly[-1] != 1 or any(not isinstance(c, int) for c in poly):
+        raise ValueError("signature_of_field requires a monic integer polynomial")
+    return _signature(poly, discriminant(poly))
 
 
 def field_from_record(rec: FieldRecord) -> NumberFieldData:
@@ -438,11 +470,9 @@ def field_from_record(rec: FieldRecord) -> NumberFieldData:
         rows, den = _integer_rows(rec.basis, n)
         order = _validate_order(rows, den, poly, pdisc)
     else:
-        order = rows, den = _maximal_order(poly)
+        order = rows, den = _maximal_order(poly, pdisc)
     disc, index = _disc_and_index(order, pdisc)
-    r, s = signature_of_field(poly)
-    if (-1) ** s != (1 if disc > 0 else -1):
-        raise ConsistencyError("discriminant sign does not match the signature")
+    r, s = _signature(poly, pdisc)
     supplied = {}
     if rec.splitting:
         for p, pairs in rec.splitting.items():

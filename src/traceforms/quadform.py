@@ -8,7 +8,6 @@ odd p it is read through one diagonal, and at 2 it gives the canonical
 2-adic symbol.
 
 Conventions fixed project-wide:
-  * Hasse-Witt invariant is the pairwise product prod_{i<j} (a_i, a_j)_p.
   * The 2-adic symbol per scale is (scale, dim, sign, type, oddity) with
     sign +1 iff the block determinant is +-1 mod 8, type I when the block
     represents an odd number (has an odd diagonal entry), oddity the trace
@@ -32,17 +31,7 @@ from .errors import (
     ZeroArgumentError,
 )
 from .linalg import det_int, mat_mul, unimodular_inverse
-from .padic import (
-    Rational,
-    check_odd_prime,
-    check_spot,
-    factorize,
-    hilbert_symbol,
-    jacobi_symbol,
-    least_nonresidue,
-    square_class,
-    val_unit,
-)
+from .padic import Rational, check_odd_prime, factorize, jacobi_symbol, val_unit
 
 
 class GramMatrix:
@@ -190,40 +179,12 @@ def _diagonal(comps) -> list[Fraction]:
     return out
 
 
-def rational_diagonal(gram: GramMatrix) -> list[Fraction]:
-    """Diagonal of a form equivalent over Q, from the splitting over Q."""
-    return _diagonal(_jordan_split(gram))
-
-
 def signature(gram: GramMatrix) -> tuple[int, int]:
-    """Exact (positive, negative) inertia counts."""
-    diag = rational_diagonal(gram)
+    """Exact (positive, negative) inertia counts, from the diagonal of the
+    splitting over Q."""
+    diag = _diagonal(_jordan_split(gram))
     pos = sum(1 for d in diag if d > 0)
     return pos, len(diag) - pos
-
-
-def hasse_witt(form: DiagonalForm, p: int) -> int:
-    """Hasse-Witt invariant prod_{i<j} (a_i, a_j)_p of a diagonal form."""
-    check_spot(p)
-    out = 1
-    ents = form.entries
-    for i in range(len(ents)):
-        for j in range(i + 1, len(ents)):
-            out *= hilbert_symbol(ents[i], ents[j], p)
-    return out
-
-
-def diagonalize_local(gram: GramMatrix, p: int) -> DiagonalForm:
-    """Canonical diagonal form Z_p-equivalent to the Gram matrix, p odd.
-
-    Per Jordan scale s of `local_symbol_odd`, in increasing order, it is
-    p^s * <1, ..., 1, d> with d = 1 when eps = +1 and d = u_p otherwise.
-    """
-    entries = []
-    for scale, dim, eps in local_symbol_odd(gram, p):
-        d = 1 if eps == 1 else least_nonresidue(p)
-        entries += [p**scale] * (dim - 1) + [p**scale * d]
-    return DiagonalForm(tuple(entries), spot=p)
 
 
 def _scale_symbol(entries, p: int):
@@ -443,28 +404,6 @@ def model_form(f: int, n: int, alpha: Rational, beta: Rational, p: int) -> Diago
             raise FormRangeError(f"beta={beta} is not a unit at {p}")
         entries += [Fraction(p)] * (n - f - 1) + [p * beta]
     return DiagonalForm(tuple(entries), spot=p)
-
-
-def model_equivalent(m1, m2, p: int) -> bool:
-    """Equivalence of two model forms (f, n, alpha, beta) at a common odd p.
-
-    Requires equal shape and the det hypothesis alpha1*beta1 = alpha2*beta2
-    mod squares; then equivalence reduces to equality of (alpha_i, p)_p.
-    """
-    check_odd_prime(p)
-    f1, n1, a1, b1 = m1
-    f2, n2, a2, b2 = m2
-    if f1 != f2 or n1 != n2:
-        raise HypothesisError("model forms must share f and n")
-    if f1 < n1:
-        prod1, prod2 = Fraction(a1) * Fraction(b1), Fraction(a2) * Fraction(b2)
-    else:
-        prod1, prod2 = Fraction(a1), Fraction(a2)
-    if square_class(prod1, p) != square_class(prod2, p):
-        raise HypothesisError(
-            "determinant hypothesis fails: alpha*beta classes differ at p"
-        )
-    return hilbert_symbol(a1, p, p) == hilbert_symbol(a2, p, p)
 
 
 def diagonal_local_symbol_odd(form: DiagonalForm, p: int):

@@ -25,11 +25,6 @@ def first_ramification_factor(split: SplittingData) -> int:
     return out * u ** (split.f_sum - split.g)
 
 
-def infinity_factor(s: int) -> int:
-    """Both ramification factors at the real place equal 2^s."""
-    return 2**s
-
-
 def second_ramification_factor(split: SplittingData, n: int) -> Fraction:
     """The signed product with exponents e_i - f_i; an exact rational unit
     at p (negative exponents are kept as exact fractions)."""

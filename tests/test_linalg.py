@@ -10,11 +10,14 @@ from traceforms.linalg import (
     fp_left_kernel,
     fp_nullspace,
     hnf,
-    identity,
     mat_mul,
     transpose,
     unimodular_inverse,
 )
+
+
+def identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def det_by_elimination(m) -> Fraction:

@@ -1,8 +1,12 @@
 import dataclasses
+import hashlib
+import itertools
+import json
 import os
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +37,8 @@ from traceforms.numberfield import (
 from traceforms.quadform import GramMatrix, genus_equal, signature
 
 CORPUS = os.path.join(os.path.dirname(__file__), "data", "corpus.jsonl")
+CUBIC_REFERENCE = (Path(__file__).resolve().parents[1]
+                   / "bench" / "data" / "cubic_reference.json")
 
 
 def make_field(label, poly, **kw):
@@ -143,10 +149,122 @@ def test_dedekind_criterion_direct():
     assert not _dedekind_step([-5, 0, 1], 2)[0]
 
 
+def dedekind_step_by_factoring(poly, p):
+    """Reference `_dedekind_step`: g and h from the full factorization of
+    poly mod p, g the product of the irreducible factors and h the product
+    of each factor to its multiplicity minus one."""
+    fac = polys.factor_mod_p(poly, p)
+    gbar = [1]
+    for g, _ in fac:
+        gbar = polys.pnormalize([c % p for c in polys.pmul(gbar, g)])
+    hbar = [1]
+    for g, mult in fac:
+        for _ in range(mult - 1):
+            hbar = polys.pnormalize([c % p for c in polys.pmul(hbar, g)])
+    gh = polys.pmul(gbar, hbar)
+    diff = [
+        ((gh[i] if i < len(gh) else 0) - (poly[i] if i < len(poly) else 0))
+        for i in range(max(len(gh), len(poly)))
+    ]
+    assert not any(c % p for c in diff)
+    fbar = polys.pnormalize([(c // p) % p for c in diff])
+    z = polys.mp_gcd(fbar, polys.mp_gcd(gbar, hbar, p), p)
+    if polys.pdeg(z) <= 0:
+        return True, None, 0
+    ustar = polys.mp_divmod(polys.mp_normalize(poly, p), z, p)[0]
+    return False, ustar, polys.pdeg(z)
+
+
+def test_dedekind_step_matches_the_factoring_reference():
+    boxes = [(range(-3, 4),) * 3, (range(-2, 3),) * 4]
+    not_maximal = Counter()
+    for box in boxes:
+        for coeffs in itertools.product(*box):
+            poly = list(coeffs) + [1]
+            for p in (2, 3, 5, 7):
+                got = _dedekind_step(poly, p)
+                assert got == dedekind_step_by_factoring(poly, p), (poly, p)
+                not_maximal[p] += not got[0]
+    assert min(not_maximal.values()) > 0, not_maximal
+
+
 def test_signature_of_field():
     assert signature_of_field([-1, -1, 0, 1]) == (1, 1)
     assert signature_of_field([1, -3, 0, 1]) == (3, 0)
     assert signature_of_field([1, 0, 0, 0, 1]) == (0, 2)
+    # the sign rule reads the discriminant of a monic integer polynomial;
+    # -x^2 + 2 has two real roots but a negative `discriminant`
+    for poly in ([2, 0, -1], [-2, 0, 2], [Fraction(1, 2), 0, 1]):
+        with pytest.raises(ValueError, match="monic integer"):
+            signature_of_field(poly)
+
+
+def test_signature_of_field_matches_sturm_counting_on_a_box():
+    # every monic polynomial of degree 2-5 with the other coefficients in
+    # [-2, 2] and a nonzero discriminant, reducible ones included
+    checked = Counter()
+    for n in range(2, 6):
+        for coeffs in itertools.product(range(-2, 3), repeat=n):
+            poly = list(coeffs) + [1]
+            if polys.resultant(poly, polys.pderiv(poly)) == 0:
+                continue
+            r = polys.sturm_real_roots(poly)
+            assert signature_of_field(poly) == (r, (n - r) // 2), poly
+            checked[n, r] += 1
+    # every signature of each degree occurs
+    assert sorted(checked) == [(n, r) for n in range(2, 6) for r in range(n % 2, n + 1, 2)]
+
+
+def test_sturm_counting_runs_only_where_the_disc_sign_leaves_two_signatures(
+        monkeypatch):
+    small = [rec for rec in ingest(CORPUS) if len(rec.poly) <= 4]
+    expected = [field_from_record(rec) for rec in small]
+
+    def sturm(f):
+        raise RuntimeError("Sturm called")
+
+    monkeypatch.setattr(polys, "sturm_real_roots", sturm)
+    monkeypatch.setattr(numberfield, "sturm_real_roots", sturm)
+    assert [field_from_record(rec) for rec in small] == expected
+    # x^4 - x - 1 has disc -283 < 0, so s = 1; x^4 + 1 has disc 256 > 0,
+    # which leaves s = 0 and s = 2
+    assert make_field("q283", [-1, -1, 0, 0, 1]).sig == (2, 1)
+    with pytest.raises(RuntimeError, match="Sturm called"):
+        make_field("z8", [1, 0, 0, 0, 1])
+
+
+def test_each_build_computes_the_polynomial_discriminant_once(monkeypatch):
+    records = list(ingest(CORPUS))
+    records.append(FieldRecord(
+        label="q5b", poly=(-5, 0, 1), basis=((1, 0), (Fraction(1, 2), Fraction(1, 2)))))
+    calls = []
+    real = polys.discriminant
+
+    def counting(f):
+        calls.append(list(f))
+        return real(f)
+
+    monkeypatch.setattr(polys, "discriminant", counting)
+    monkeypatch.setattr(numberfield, "discriminant", counting)
+    for rec in records:
+        del calls[:]
+        field_from_record(rec)
+        assert calls == [list(rec.poly)], rec.label
+
+
+def test_cubic_reference_orders_are_pinned():
+    # x^3 + a x + b for every field of the exact cubic reference with
+    # |disc| <= 6600: order rows, den, disc, index and signature
+    rows = json.loads(CUBIC_REFERENCE.read_text())["rows"]
+    keys = []
+    for disc, a, b, _ in rows:
+        if abs(disc) <= 6600:
+            fld = make_field("c", [b, a, 0, 1])
+            assert fld.disc == disc
+            keys.append((fld.rows, fld.den, fld.disc, fld.index, fld.sig))
+    assert len(keys) == 1228
+    digest = hashlib.sha256(repr(keys).encode()).hexdigest()
+    assert digest.startswith("9c99f1367e9f4f6b")
 
 
 def test_splitting_examples():

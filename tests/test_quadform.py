@@ -18,6 +18,7 @@ from traceforms.errors import (
 from traceforms.linalg import det_int, mat_mul, transpose, unimodular_inverse
 from traceforms.numberfield import field_from_record, trace_gram
 from traceforms.padic import (
+    check_odd_prime,
     check_spot,
     factorize,
     hilbert_symbol,
@@ -31,18 +32,14 @@ from traceforms.quadform import (
     GramMatrix,
     canonical_two_adic_symbol,
     diagonal_local_symbol_odd,
-    diagonalize_local,
     genus_equal,
     genus_symbol,
-    hasse_witt,
     _MeetInTheMiddle,
     _jordan_split,
     _round_div,
     isometry_witness_search,
     local_symbol_odd,
-    model_equivalent,
     model_form,
-    rational_diagonal,
     reduce_gram,
     signature,
 )
@@ -50,10 +47,58 @@ from traceforms.quadform import (
 DATA = os.path.join(os.path.dirname(__file__), "data", "corpus.jsonl")
 
 
+# References: Hasse-Witt invariants, a canonical local diagonal form and
+# the model comparison lemma, checked against the package's local symbols.
+
+
+def hasse_witt(form, p):
+    """Hasse-Witt invariant prod_{i<j} (a_i, a_j)_p of a diagonal form."""
+    check_spot(p)
+    out = 1
+    ents = form.entries
+    for i in range(len(ents)):
+        for j in range(i + 1, len(ents)):
+            out *= hilbert_symbol(ents[i], ents[j], p)
+    return out
+
+
 def hasse_witt_gram(gram, p):
     """Hasse-Witt invariant of a Gram matrix through its rational diagonal:
     the reference that local diagonalization must preserve."""
-    return hasse_witt(DiagonalForm(tuple(rational_diagonal(gram))), p)
+    return hasse_witt(DiagonalForm(tuple(reference_rational_diagonal(gram))), p)
+
+
+def diagonalize_local(gram, p):
+    """Canonical diagonal form Z_p-equivalent to the Gram matrix, p odd:
+    per Jordan scale s of `local_symbol_odd`, in increasing order,
+    p^s * <1, ..., 1, d> with d = 1 when eps = +1 and d = u_p otherwise."""
+    entries = []
+    for scale, dim, eps in local_symbol_odd(gram, p):
+        d = 1 if eps == 1 else least_nonresidue(p)
+        entries += [p**scale] * (dim - 1) + [p**scale * d]
+    return DiagonalForm(tuple(entries), spot=p)
+
+
+def model_equivalent(m1, m2, p):
+    """Equivalence of two model forms (f, n, alpha, beta) at a common odd p.
+
+    Requires equal shape and the det hypothesis alpha1*beta1 = alpha2*beta2
+    mod squares; then equivalence reduces to equality of (alpha_i, p)_p.
+    """
+    check_odd_prime(p)
+    f1, n1, a1, b1 = m1
+    f2, n2, a2, b2 = m2
+    if f1 != f2 or n1 != n2:
+        raise HypothesisError("model forms must share f and n")
+    if f1 < n1:
+        prod1, prod2 = Fraction(a1) * Fraction(b1), Fraction(a2) * Fraction(b2)
+    else:
+        prod1, prod2 = Fraction(a1), Fraction(a2)
+    if square_class(prod1, p) != square_class(prod2, p):
+        raise HypothesisError(
+            "determinant hypothesis fails: alpha*beta classes differ at p"
+        )
+    return hilbert_symbol(a1, p, p) == hilbert_symbol(a2, p, p)
 
 
 def qp_equivalent(f1, f2, p):

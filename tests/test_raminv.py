@@ -9,7 +9,6 @@ from traceforms.padic import least_nonresidue, legendre_symbol, square_class, va
 from traceforms.quadform import diagonal_local_symbol_odd, local_symbol_odd
 from traceforms.raminv import (
     first_ramification_factor,
-    infinity_factor,
     local_trace_model,
     nonresidue_odd_count,
     second_ramification_factor,
@@ -37,7 +36,6 @@ def random_tame_splitting(rng, p, n):
 def test_first_factor_examples():
     sd = make_splitting(5, [(2, 1), (1, 2)], 4)
     assert first_ramification_factor(sd) == 4
-    assert infinity_factor(2) == 4
     # odd Galois shape: g equal pairs (e, f); first factor is e mod squares
     rng = random.Random(71)
     for _ in range(100):
@@ -54,6 +52,19 @@ def test_first_factor_examples():
         # for odd total degree efg the first factor is e mod squares
         if (e * f * g) % 2 == 1:
             assert square_class(alpha, p) == square_class(e, p)
+
+
+def infinity_factor(s: int) -> int:
+    """Both ramification factors at the real place equal 2^s."""
+    return 2**s
+
+
+def test_infinity_factor_is_the_archimedean_first_factor():
+    # at the real place a complex pair has e = 2, f = 1 and a real one
+    # e = f = 1; with every f = 1 the nonresidue exponent f_p - g_p is 0
+    for r, s in ((3, 0), (1, 1), (2, 1), (0, 2), (1, 2), (0, 3)):
+        sd = make_splitting(3, [(1, 1)] * r + [(2, 1)] * s, r + 2 * s)
+        assert first_ramification_factor(sd) == infinity_factor(s)
 
 
 def test_second_factor_examples():
