@@ -39,7 +39,6 @@ from .numberfield import (
     trace_gram,
 )
 from .padic import (
-    SquareClass,
     hilbert_symbol,
     jacobi_symbol,
     least_nonresidue,
@@ -48,19 +47,18 @@ from .padic import (
     val_unit,
 )
 from .quadform import (
-    DiagonalForm,
     GenusSymbol,
     GramMatrix,
     canonical_two_adic_symbol,
     genus_equal,
     genus_symbol,
     isometry_witness_search,
-    model_form,
     signature,
 )
 from .raminv import (
     first_ramification_factor,
     local_trace_model,
+    model_form,
     nonresidue_odd_count,
     second_ramification_factor,
     tame_diagonal_form,

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .cubicsearch import enumerate_cubic_fields, equal_disc_groups
 from .decide import (
+    cubic_local_form_at_3,
     cubic_same_spinor_genus,
     galois_same_spinor_genus,
     isometric_by_parity,
@@ -96,6 +97,10 @@ def _parse_rational(value, line):
     raise ParseError(f"bad rational {value!r}", line)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 _ALLOWED_KEYS = {"label", "poly", "basis", "splitting", "galois"}
 
 
@@ -112,7 +117,7 @@ def parse_record(obj, line=None) -> FieldRecord:
     if (
         not isinstance(poly, list)
         or len(poly) < 2
-        or any(not isinstance(c, int) or isinstance(c, bool) for c in poly)
+        or not all(map(_is_int, poly))
     ):
         raise ParseError("poly must be a list of integers", line)
     basis = obj.get("basis")
@@ -133,10 +138,11 @@ def parse_record(obj, line=None) -> FieldRecord:
             except ValueError:
                 raise ParseError(f"bad splitting prime {key!r}", line)
             if not isinstance(pairs, list) or not all(
-                isinstance(ef, list) and len(ef) == 2 for ef in pairs
+                isinstance(ef, list) and len(ef) == 2 and all(map(_is_int, ef))
+                for ef in pairs
             ):
                 raise ParseError(f"bad splitting pairs at {key}", line)
-            parsed[p] = [(int(e), int(f)) for e, f in pairs]
+            parsed[p] = [(e, f) for e, f in pairs]
         splitting = parsed
     galois = obj.get("galois")
     if galois is not None and not isinstance(galois, bool):
@@ -403,11 +409,9 @@ def oracle_checks(fld):
     if fld.n == 3 and 3 in profile and not profile[3].tame:
         # wild cubic: branch classification against the trace Gram at 3
         if fld.poly[2] == 0 and fld.poly[1] % 3 == 0:
-            from .decide import cubic_local_form_at_3
-
             branch = cubic_local_form_at_3(fld.poly[1] // 3, fld.poly[0])
             ok = diagonal_local_symbol_odd(branch, 3) == local_symbol_odd(gram, 3)
-            yield ("wild-cubic-local@3", ok, f"branch={list(map(str, branch.entries))}")
+            yield ("wild-cubic-local@3", ok, f"branch={list(map(str, branch))}")
 
 
 def two_adic_pair_checks(fields):

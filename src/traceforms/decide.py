@@ -11,14 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ConsistencyError, HypothesisError, TamenessError
+from .errors import (
+    ConsistencyError,
+    FlagInconsistencyError,
+    HypothesisError,
+    TamenessError,
+)
 from .numberfield import (
     NumberFieldData,
     is_fundamental_discriminant,
     ramification_profile,
 )
 from .padic import legendre_symbol, val_unit
-from .quadform import DiagonalForm
 from .raminv import first_ramification_factor, nonresidue_odd_count
 
 ISOMETRIC_TRACE = "ISOMETRIC_TRACE"
@@ -248,7 +252,7 @@ def isometric_fundamental_disc(K, L) -> Verdict:
     )
 
 
-def galois_same_spinor_genus(K, L, galois_flags=None) -> Verdict:
+def galois_same_spinor_genus(K, L) -> Verdict:
     """Spinor-genus equality for tame Galois fields of equal odd degree.
 
     Galois-ness is a trusted flag, but the splitting shape (all (e, f)
@@ -256,9 +260,7 @@ def galois_same_spinor_genus(K, L, galois_flags=None) -> Verdict:
     discriminant equality alone.
     """
     K, L = invariants_of(K), invariants_of(L)
-    if galois_flags is None:
-        galois_flags = (K.galois, L.galois)
-    if not (galois_flags[0] and galois_flags[1]):
+    if not (K.galois and L.galois):
         raise HypothesisError("both fields must be flagged Galois")
     if K.n != L.n:
         raise HypothesisError("fields must have equal degree")
@@ -269,8 +271,6 @@ def galois_same_spinor_genus(K, L, galois_flags=None) -> Verdict:
     for inv, name in ((K, "first"), (L, "second")):
         for p, sd in inv.profile.items():
             if len(set(sd.pairs)) != 1:
-                from .errors import FlagInconsistencyError
-
                 raise FlagInconsistencyError(
                     f"{name} field is flagged Galois but splitting at {p} "
                     f"has unequal (e, f) pairs: {sd.pairs}"
@@ -364,7 +364,7 @@ def cubic_same_spinor_genus(K, L) -> Verdict:
     )
 
 
-def cubic_local_form_at_3(a: int, b: int) -> DiagonalForm:
+def cubic_local_form_at_3(a: int, b: int) -> tuple:
     """Class of the integral trace of the totally ramified cubic extension
     of the 3-adics cut out by x^3 + 3a x + b.
 
@@ -376,11 +376,11 @@ def cubic_local_form_at_3(a: int, b: int) -> DiagonalForm:
         raise HypothesisError("discriminant is zero; not a field")
     v = val_unit(d, 3)[0]
     if v == 0:
-        return DiagonalForm((3, 3, 3 * d), spot=3)
+        return (3, 3, 3 * d)
     if v == 1:
-        return DiagonalForm((3, 6, Fraction(3 * d, 2)), spot=3)
+        return (3, 6, Fraction(3 * d, 2))
     if v == 2:
-        return DiagonalForm((3, 9, -9), spot=3)
+        return (3, 9, -9)
     raise HypothesisError(
         f"v3(27d) = {v + 3} is outside 3..5; extension is not totally ramified"
     )

@@ -440,11 +440,9 @@ def signature_of_field(poly) -> tuple[int, int]:
     """(real embeddings, complex-conjugate pairs) of a monic integer
     polynomial with nonzero discriminant: Brill's sign rule where it
     leaves one value of s, Sturm counting where it leaves two.  Any other
-    polynomial raises ValueError: `discriminant` is exact only for monic
-    integer input, and its sign is what the rule reads."""
+    polynomial raises ValueError from `discriminant`, whose sign is what
+    the rule reads."""
     poly = pnormalize(list(poly))
-    if not poly or poly[-1] != 1 or any(not isinstance(c, int) for c in poly):
-        raise ValueError("signature_of_field requires a monic integer polynomial")
     return _signature(poly, discriminant(poly))
 
 

@@ -214,44 +214,17 @@ def hilbert_symbol(a: Rational, b: Rational, p: int) -> int:
     return sign
 
 
-class SquareClass:
-    """Canonical representative of a unit square class at a spot.
-
-    Representatives: {+1, -1} at the real place, {1, 3, 5, 7} at 2,
-    {1, u_p} at odd p.
-    """
-
-    __slots__ = ("spot", "rep")
-
-    def __init__(self, spot: int, rep: int):
-        self.spot = spot
-        self.rep = rep
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SquareClass)
-            and self.spot == other.spot
-            and self.rep == other.rep
-        )
-
-    def __hash__(self):
-        return hash((self.spot, self.rep))
-
-    def __repr__(self):
-        return f"SquareClass({self.spot}, {self.rep})"
-
-
-def square_class(a: Rational, p: int) -> SquareClass:
-    """Canonical square class of a unit a at spot p."""
+def square_class(a: Rational, p: int) -> int:
+    """Canonical representative of the square class of a unit a at spot p:
+    +-1 at the real place, 1, 3, 5 or 7 at 2, and 1 or u_p at odd p."""
     if a == 0:
         raise ZeroArgumentError("square class of 0 is undefined")
     check_spot(p)
     if p == -1:
-        return SquareClass(-1, -1 if a < 0 else 1)
+        return -1 if a < 0 else 1
     v, u = val_unit(a, p)
     if v != 0:
         raise NonUnitError(f"{a} has valuation {v} at {p}; strip the uniformizer first")
     if p == 2:
-        return SquareClass(2, _unit_mod(u, 8))
-    rep = 1 if _legendre_unit(u, p) == 1 else least_nonresidue(p)
-    return SquareClass(p, rep)
+        return _unit_mod(u, 8)
+    return 1 if _legendre_unit(u, p) == 1 else least_nonresidue(p)

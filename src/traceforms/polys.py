@@ -124,7 +124,11 @@ def resultant(f, g) -> int:
 
 
 def discriminant(f) -> int:
-    """Discriminant of a monic integer polynomial of degree >= 2."""
+    """Discriminant of a monic integer polynomial of degree >= 2; other
+    input raises ValueError, as +-Res(f, f') is the discriminant only then."""
+    f = pnormalize(f)
+    if not f or f[-1] != 1 or any(not isinstance(c, int) for c in f):
+        raise ValueError("discriminant requires a monic integer polynomial")
     n = pdeg(f)
     if n < 2:
         raise ValueError("degree must be at least 2")

@@ -28,10 +28,9 @@ from .errors import (
     HypothesisError,
     LimitError,
     SingularFormError,
-    ZeroArgumentError,
 )
 from .linalg import det_int, mat_mul, unimodular_inverse
-from .padic import Rational, check_odd_prime, factorize, jacobi_symbol, val_unit
+from .padic import check_odd_prime, factorize, jacobi_symbol, val_unit
 
 
 class GramMatrix:
@@ -68,44 +67,6 @@ class GramMatrix:
 
     def __repr__(self):
         return f"GramMatrix({[list(r) for r in self.entries]})"
-
-
-@dataclass(frozen=True)
-class DiagonalForm:
-    """Diagonal quadratic form <a_1, ..., a_n> with exact rational entries."""
-
-    entries: tuple
-    spot: int | None = None
-
-    def __post_init__(self):
-        ents = tuple(Fraction(e) for e in self.entries)
-        if not ents:
-            raise ZeroArgumentError("diagonal form needs at least one entry")
-        if any(e == 0 for e in ents):
-            raise ZeroArgumentError("diagonal form entries must be nonzero")
-        if self.spot is not None and self.spot != -1:
-            for e in ents:
-                if val_unit(e, self.spot)[0] < 0:
-                    raise ZeroArgumentError(
-                        f"entry {e} is not a {self.spot}-adic integer"
-                    )
-        object.__setattr__(self, "entries", ents)
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def gram(self) -> GramMatrix:
-        """Integer Gram matrix obtained by clearing denominators by squares.
-
-        Only valid for comparisons local at `spot` (denominators are units
-        there), which is how model forms are materialized for the oracle.
-        """
-        ints = [e * e.denominator**2 for e in self.entries]
-        n = len(ints)
-        return GramMatrix(
-            [[int(ints[i]) if i == j else 0 for j in range(n)] for i in range(n)]
-        )
 
 
 def _jordan_split(gram: GramMatrix, p: int | None = None):
@@ -357,6 +318,13 @@ def local_symbol_odd(gram: GramMatrix, p: int):
     return _scale_symbol(_diagonal(_jordan_split(gram, p)), p)
 
 
+def diagonal_local_symbol_odd(entries, p: int):
+    """Per-scale (scale, dim, eps) of the diagonal form <entries> at odd p;
+    the entries are any nonzero rationals."""
+    check_odd_prime(p)
+    return _scale_symbol(entries, p)
+
+
 def genus_symbol(gram: GramMatrix) -> GenusSymbol:
     """Complete genus invariant: equal symbols iff equivalent over R and
     every Z_p."""
@@ -380,36 +348,6 @@ def genus_equal(g1: GramMatrix, g2: GramMatrix) -> bool:
     if sig1 != sig2:
         return False
     return _genus_symbol(g1, sig1) == _genus_symbol(g2, sig2)
-
-
-# ---------------------------------------------------------------------------
-# model forms (tame local trace shapes)
-
-
-def model_form(f: int, n: int, alpha: Rational, beta: Rational, p: int) -> DiagonalForm:
-    """<1,...,1,alpha> + p * <1,...,1,beta> with f unimodular entries.
-
-    When f = n the scaled part is empty and beta is ignored.
-    """
-    check_odd_prime(p)
-    if not 0 < f <= n:
-        raise FormRangeError(f"need 0 < f <= n, got f={f}, n={n}")
-    alpha = Fraction(alpha)
-    if val_unit(alpha, p)[0] != 0:
-        raise FormRangeError(f"alpha={alpha} is not a unit at {p}")
-    entries = [Fraction(1)] * (f - 1) + [alpha]
-    if f < n:
-        beta = Fraction(beta)
-        if val_unit(beta, p)[0] != 0:
-            raise FormRangeError(f"beta={beta} is not a unit at {p}")
-        entries += [Fraction(p)] * (n - f - 1) + [p * beta]
-    return DiagonalForm(tuple(entries), spot=p)
-
-
-def diagonal_local_symbol_odd(form: DiagonalForm, p: int):
-    """Per-scale (scale, dim, eps) of a diagonal form at odd p."""
-    check_odd_prime(p)
-    return _scale_symbol(form.entries, p)
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,25 @@
 Everything here is computed from splitting data {(e_i, f_i)} alone: the
 first and second ramification factors, the nonresidue count used by the
 parity criterion, the tame diagonal block form, and the tame local model
-of the integral trace at odd primes.
+of the integral trace at odd primes.  A diagonal form is the tuple of its
+nonzero rational entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
-from .errors import ConsistencyError, TamenessError
+from .errors import ConsistencyError, FormRangeError, TamenessError
 from .numberfield import NumberFieldData, SplittingData, splitting_data
-from .padic import check_odd_prime, least_nonresidue, legendre_symbol, square_class
-from .quadform import DiagonalForm, model_form
+from .padic import (
+    Rational,
+    check_odd_prime,
+    least_nonresidue,
+    legendre_symbol,
+    square_class,
+    val_unit,
+)
 
 
 def first_ramification_factor(split: SplittingData) -> int:
@@ -51,7 +59,7 @@ def nonresidue_odd_count(split: SplittingData) -> int:
     )
 
 
-def tame_diagonal_form(split: SplittingData) -> DiagonalForm:
+def tame_diagonal_form(split: SplittingData) -> tuple:
     """The diagonal form attached to a tame splitting at odd p.
 
     Block i contributes f_i entries: e_i repeated, then e_i*(-1)^{f_i-1}
@@ -70,18 +78,32 @@ def tame_diagonal_form(split: SplittingData) -> DiagonalForm:
             entries.extend([e] * (f - 2))
             entries.append(e * (-1) ** (f - 1))
             entries.append(e * (-u) ** (f - 1))
-    form = DiagonalForm(tuple(entries), spot=p)
-    det = Fraction(1)
-    for x in form.entries:
-        det *= x
-    if len(form.entries) != split.f_sum:
+    if len(entries) != split.f_sum:
         raise ConsistencyError(f"block form at {p} does not have dimension f_p")
-    if square_class(det, p) != square_class(first_ramification_factor(split), p):
+    if square_class(prod(entries), p) != square_class(first_ramification_factor(split), p):
         raise ConsistencyError(f"block form at {p} has the wrong determinant class")
-    return form
+    return tuple(entries)
 
 
-def trace_model_from_splitting(split: SplittingData, n: int, disc: int) -> DiagonalForm:
+def model_form(f: int, n: int, alpha: Rational, beta: Rational, p: int) -> tuple:
+    """<1,...,1,alpha> + p * <1,...,1,beta> with f unimodular entries.
+
+    When f = n the scaled part is empty and beta is ignored.
+    """
+    check_odd_prime(p)
+    if not 0 < f <= n:
+        raise FormRangeError(f"need 0 < f <= n, got f={f}, n={n}")
+    if val_unit(alpha, p)[0] != 0:
+        raise FormRangeError(f"alpha={alpha} is not a unit at {p}")
+    entries = (1,) * (f - 1) + (alpha,)
+    if f == n:
+        return entries
+    if val_unit(beta, p)[0] != 0:
+        raise FormRangeError(f"beta={beta} is not a unit at {p}")
+    return entries + (p,) * (n - f - 1) + (p * beta,)
+
+
+def trace_model_from_splitting(split: SplittingData, n: int, disc: int) -> tuple:
     """Model of the local integral trace at a tame odd p.
 
     Unimodular part <1,...,1,alpha> with alpha the first ramification
@@ -97,11 +119,10 @@ def trace_model_from_splitting(split: SplittingData, n: int, disc: int) -> Diago
     alpha = first_ramification_factor(split)
     if split.f_sum == n:
         return model_form(n, n, alpha, None, p)
-    ratio = Fraction(disc) / (Fraction(alpha) * Fraction(p) ** (n - split.f_sum))
-    scaled_unit = square_class(ratio, p).rep
-    return model_form(split.f_sum, n, alpha, scaled_unit, p)
+    ratio = Fraction(disc, alpha * p ** (n - split.f_sum))
+    return model_form(split.f_sum, n, alpha, square_class(ratio, p), p)
 
 
-def local_trace_model(fld: NumberFieldData, p: int) -> DiagonalForm:
+def local_trace_model(fld: NumberFieldData, p: int) -> tuple:
     """Asserted Z_p-isometry class of the integral trace at a tame odd p."""
     return trace_model_from_splitting(splitting_data(fld, p), fld.n, fld.disc)

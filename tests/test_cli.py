@@ -65,6 +65,16 @@ def test_parse_record_examples():
         parse_record({"label": "x", "poly": [1, 0, 1], "basis": [[1, "x"], [0, 1]]})
 
 
+@pytest.mark.parametrize("pair", [[1.5, 1], ["1", 1], [True, 1]])
+def test_splitting_pairs_must_be_integers(tmp_path, capsys, pair):
+    rec = {"label": "c", "poly": [-1, -1, 0, 1],
+           "splitting": {"2": [pair, [1, 1], [1, 1]]}}
+    with pytest.raises(ParseError, match="bad splitting pairs at 2"):
+        parse_record(rec)
+    assert main(["invariants", write_records(tmp_path, [rec])]) == EXIT_PARSE
+    assert "bad splitting pairs" in capsys.readouterr().err
+
+
 def test_ingest_errors(tmp_path):
     path = write_records(tmp_path, [
         {"label": "a", "poly": [-1, -1, 0, 1]},

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -36,6 +37,10 @@ from traceforms.quadform import (
 
 def make_field(label, poly, **kw):
     return field_from_record(FieldRecord(label=label, poly=tuple(poly), **kw))
+
+
+def flagged_galois(fld):
+    return dataclasses.replace(invariants_of(fld), galois=True)
 
 
 C23 = make_field("c23", [-1, -1, 0, 1])
@@ -173,11 +178,11 @@ def test_galois_criterion():
     with pytest.raises(HypothesisError):
         galois_same_spinor_genus(C23, C23)  # not flagged Galois
     with pytest.raises(FlagInconsistencyError):
-        galois_same_spinor_genus(C23, C23, galois_flags=(True, True))
+        galois_same_spinor_genus(flagged_galois(C23), flagged_galois(C23))
     with pytest.raises(TamenessError):
-        galois_same_spinor_genus(C81, C81, galois_flags=(True, True))
+        galois_same_spinor_genus(flagged_galois(C81), flagged_galois(C81))
     with pytest.raises(HypothesisError):
-        galois_same_spinor_genus(Q11, C49, galois_flags=(True, True))  # degrees
+        galois_same_spinor_genus(flagged_galois(Q11), flagged_galois(C49))  # degrees
 
 
 def test_galois_criterion_non_totally_ramified():
@@ -227,11 +232,11 @@ def test_cubic_same_spinor_genus_alternate_presentation():
 def test_cubic_local_form_branches():
     # x^3 - 3x + 1: d = 3, valuation 1
     form = cubic_local_form_at_3(-1, 1)
-    assert form.entries == (3, 6, Fraction(9, 2))
+    assert form == (3, 6, Fraction(9, 2))
     # x^3 + 3: d = -9, valuation 2
-    assert cubic_local_form_at_3(0, 3).entries == (3, 9, -9)
+    assert cubic_local_form_at_3(0, 3) == (3, 9, -9)
     # x^3 - 3x + 3: d = -5, valuation 0
-    assert cubic_local_form_at_3(-1, 3).entries == (3, 3, -15)
+    assert cubic_local_form_at_3(-1, 3) == (3, 3, -15)
     with pytest.raises(HypothesisError):
         cubic_local_form_at_3(0, 9)  # v3(d) = 4: not totally ramified
     with pytest.raises(HypothesisError):
@@ -253,7 +258,7 @@ def test_seven_local_cubics_match_global_trace_grams():
             b,
         )
         d = -(b * b + 4 * a**3)
-        by_class.setdefault(branch.entries, []).append(d)
+        by_class.setdefault(branch, []).append(d)
     # the three valuation-5 fields all land in <3,9,-9>
     assert len(by_class[(3, 9, -9)]) == 3
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -48,6 +49,28 @@ def test_discriminant_matches_cubic_formula():
 def test_discriminant_repeated_root():
     with pytest.raises(RepeatedRootError):
         discriminant([1, 2, 1])  # (x+1)^2
+
+
+def test_discriminant_rejects_non_monic_input():
+    # the resultant of f and f' alone would give -8 for 2 - x^2 (its
+    # discriminant is 8) and -16 for 2x^2 + 1 (discriminant -8)
+    for f in ([2, 0, -1], [1, 0, 2], [-1, 0, 0, 3], [Fraction(1, 2), 0, 1]):
+        with pytest.raises(ValueError, match="monic integer"):
+            discriminant(f)
+    assert discriminant([-2, 0, 1, 0, 0]) == 8  # trailing zeros are dropped
+
+
+def test_discriminant_monic_check_survives_python_O():
+    proc = run_optimized("""
+from traceforms.polys import discriminant
+for f in ([2, 0, -1], [1, 0, 2]):
+    try:
+        print(discriminant(f))
+    except ValueError:
+        continue
+    raise SystemExit(1)
+""")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_resultant_multiplicative():

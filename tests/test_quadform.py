@@ -28,7 +28,6 @@ from traceforms.padic import (
     val_unit,
 )
 from traceforms.quadform import (
-    DiagonalForm,
     GramMatrix,
     canonical_two_adic_symbol,
     diagonal_local_symbol_odd,
@@ -39,10 +38,10 @@ from traceforms.quadform import (
     _round_div,
     isometry_witness_search,
     local_symbol_odd,
-    model_form,
     reduce_gram,
     signature,
 )
+from traceforms.raminv import model_form
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "corpus.jsonl")
 
@@ -55,17 +54,16 @@ def hasse_witt(form, p):
     """Hasse-Witt invariant prod_{i<j} (a_i, a_j)_p of a diagonal form."""
     check_spot(p)
     out = 1
-    ents = form.entries
-    for i in range(len(ents)):
-        for j in range(i + 1, len(ents)):
-            out *= hilbert_symbol(ents[i], ents[j], p)
+    for i in range(len(form)):
+        for j in range(i + 1, len(form)):
+            out *= hilbert_symbol(form[i], form[j], p)
     return out
 
 
 def hasse_witt_gram(gram, p):
     """Hasse-Witt invariant of a Gram matrix through its rational diagonal:
     the reference that local diagonalization must preserve."""
-    return hasse_witt(DiagonalForm(tuple(reference_rational_diagonal(gram))), p)
+    return hasse_witt(tuple(reference_rational_diagonal(gram)), p)
 
 
 def diagonalize_local(gram, p):
@@ -76,7 +74,7 @@ def diagonalize_local(gram, p):
     for scale, dim, eps in local_symbol_odd(gram, p):
         d = 1 if eps == 1 else least_nonresidue(p)
         entries += [p**scale] * (dim - 1) + [p**scale * d]
-    return DiagonalForm(tuple(entries), spot=p)
+    return tuple(entries)
 
 
 def model_equivalent(m1, m2, p):
@@ -104,17 +102,17 @@ def model_equivalent(m1, m2, p):
 def qp_equivalent(f1, f2, p):
     """Equivalence over Q_p (p = -1 meaning R): dim, det class, Hasse."""
     check_spot(p)
-    if f1.dim != f2.dim:
+    if len(f1) != len(f2):
         return False
     d1 = Fraction(1)
-    for e in f1.entries:
+    for e in f1:
         d1 *= e
     d2 = Fraction(1)
-    for e in f2.entries:
+    for e in f2:
         d2 *= e
     if p == -1:
-        neg1 = sum(1 for e in f1.entries if e < 0)
-        neg2 = sum(1 for e in f2.entries if e < 0)
+        neg1 = sum(1 for e in f1 if e < 0)
+        neg2 = sum(1 for e in f2 if e < 0)
         return neg1 == neg2
     v1, u1 = val_unit(d1, p)
     v2, u2 = val_unit(d2, p)
@@ -187,9 +185,9 @@ def test_signature_examples():
 
 
 def test_diagonalize_local_examples():
-    assert diagonalize_local(diag_gram(1, 1, 1), 5).entries == (1, 1, 1)
+    assert diagonalize_local(diag_gram(1, 1, 1), 5) == (1, 1, 1)
     form = diagonalize_local(GramMatrix([[3, 0, 2], [0, 2, 3], [2, 3, 2]]), 23)
-    vals = [val_unit(e, 23)[0] for e in form.entries]
+    vals = [val_unit(e, 23)[0] for e in form]
     assert sorted(vals) == [0, 0, 1]
     # hyperbolic plane at 3: <1, -1> up to squares
     form2 = diagonalize_local(GramMatrix([[0, 1], [1, 0]]), 3)
@@ -204,7 +202,7 @@ def test_diagonalize_local_preserves_det_and_hasse():
         g = random_gram(rng, n)
         form = diagonalize_local(g, p)
         prod = 1
-        for e in form.entries:
+        for e in form:
             prod *= e
         ratio = Fraction(prod, g.det)
         v, u = val_unit(ratio, p)
@@ -320,8 +318,7 @@ def test_jordan_split_matches_the_row_add_eliminations():
                 diag = reference_rational_diagonal(g)
                 pos = sum(1 for d in diag if d > 0)
                 assert signature(g) == (pos, n - pos), g
-                want = diagonal_local_symbol_odd(
-                    DiagonalForm(tuple(reference_local_diagonal(g, p)), spot=p), p)
+                want = diagonal_local_symbol_odd(tuple(reference_local_diagonal(g, p)), p)
                 assert local_symbol_odd(g, p) == want, (g, p)
                 assert diagonal_local_symbol_odd(diagonalize_local(g, p), p) == want
                 for q in (None, p):
@@ -387,9 +384,9 @@ def test_two_adic_symbol_equality_implies_equal_representation_counts():
 
 
 def test_hasse_witt_examples():
-    assert hasse_witt(DiagonalForm((1, 1, 1, 1)), 5) == 1
+    assert hasse_witt((1, 1, 1, 1), 5) == 1
     for p in (3, 5, 7, 13):
-        assert hasse_witt(DiagonalForm((p, p)), p) == legendre_symbol(-1, p)
+        assert hasse_witt((p, p), p) == legendre_symbol(-1, p)
 
 
 def test_hasse_witt_model_closed_formula():
@@ -434,11 +431,11 @@ def test_hasse_witt_model_comparison_identity():
 
 
 def test_model_form_examples():
-    assert model_form(3, 3, 2, None, 5).entries == (1, 1, 2)
-    assert model_form(1, 3, 1, -1, 3).entries == (1, 3, -3)
+    assert model_form(3, 3, 2, None, 5) == (1, 1, 2)
+    assert model_form(1, 3, 1, -1, 3) == (1, 3, -3)
     u7 = least_nonresidue(7)
     assert u7 == 3
-    assert model_form(2, 4, u7, u7, 7).entries == (1, 3, 7, 21)
+    assert model_form(2, 4, u7, u7, 7) == (1, 3, 7, 21)
 
 
 def test_model_equivalent_examples():
@@ -476,7 +473,7 @@ def test_model_equivalent_matches_local_genus():
         assert (diagonal_local_symbol_odd(f1, p) == diagonal_local_symbol_odd(f2, p)) == verdict
         assert qp_equivalent(f1, f2, p) == verdict
         # materialized integer Gram matrices carry the same local symbols
-        assert local_symbol_odd(f1.gram(), p) == diagonal_local_symbol_odd(f1, p)
+        assert local_symbol_odd(diag_gram(*f1), p) == diagonal_local_symbol_odd(f1, p)
 
 
 def test_genus_symbol_and_equality():
