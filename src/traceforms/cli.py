@@ -87,7 +87,7 @@ def _emit(obj, out):
 
 
 def _parse_rational(value, line):
-    if isinstance(value, int):
+    if _is_int(value):
         return Fraction(value)
     if isinstance(value, str):
         try:

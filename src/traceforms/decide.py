@@ -17,11 +17,7 @@ from .errors import (
     HypothesisError,
     TamenessError,
 )
-from .numberfield import (
-    NumberFieldData,
-    is_fundamental_discriminant,
-    ramification_profile,
-)
+from .numberfield import is_fundamental_discriminant, ramification_profile
 from .padic import legendre_symbol, val_unit
 from .raminv import first_ramification_factor, nonresidue_odd_count
 
@@ -32,6 +28,11 @@ GENUS_ONLY = "GENUS_ONLY"
 
 @dataclass(frozen=True)
 class Verdict:
+    """A decision procedure's answer and its grounds: `basis` names the
+    relation decided (ISOMETRIC_TRACE or SAME_SPINOR_GENUS), `theorem` the
+    criterion applied, `hypotheses` the conditions it checked, and
+    `witnesses` the invariants it compared."""
+
     answer: bool
     basis: str
     theorem: str

@@ -5,8 +5,11 @@ optional integral basis and optional per-prime splitting data for primes
 dividing the index (where native factorization mod p is not valid).  The
 maximal order is computed by Dedekind p-maximality tests plus the standard
 radical/multiplier enlargement loop at every prime whose square divides the
-polynomial discriminant.  A build computes that discriminant once; its sign
-also gives the signature wherever Brill's rule leaves one choice.
+polynomial discriminant.  The Dedekind test needs only the radical of f
+mod p, from one gcd(f, f'), and its overorder is one HNF of p times the
+order and the m = deg z multiples U(theta) theta^j of its multiplier.  A
+build computes the polynomial discriminant once; its sign also gives the
+signature wherever Brill's rule leaves one choice.
 
 All order arithmetic runs on one integer core: an order is a pair (B, den)
 of integer rows B, upper triangular with positive diagonal, over one
@@ -46,14 +49,10 @@ from .polys import (
     discriminant,
     factor_mod_p,
     is_irreducible_int,
-    mp_divmod,
-    mp_gcd,
-    mp_mul,
-    mp_normalize,
-    mp_squarefree_decomposition,
     pdeg,
     pmul,
     pnormalize,
+    power_sums,
     sturm_real_roots,
 )
 from .quadform import GramMatrix
@@ -237,25 +236,24 @@ def _frobenius_kernel(table, p, n):
 
     def mul(x, y):
         out = [0] * n
-        for i in range(n):
-            if x[i]:
-                for j in range(n):
-                    if y[j]:
-                        tij = table[i][j]
-                        xy = x[i] * y[j]
-                        for c in range(n):
-                            out[c] = (out[c] + xy * tij[c]) % p
-        return out
+        for i, xi in enumerate(x):
+            if xi:
+                for j, yj in enumerate(y):
+                    if yj:
+                        xy = xi * yj
+                        for c, t in enumerate(table[i][j]):
+                            out[c] += xy * t
+        return [c % p for c in out]
 
     def power(x, e):
         result = None
-        base = x
-        while e:
+        while True:
             if e & 1:
-                result = base if result is None else mul(result, base)
-            base = mul(base, base)
+                result = x if result is None else mul(result, x)
             e >>= 1
-        return result
+            if not e:
+                return result
+            x = mul(x, x)
 
     frob = []
     for i in range(n):
@@ -311,43 +309,122 @@ def _enlarge_at(order, red, p):
     return _with_content_removed(mat_mul(hu, rows), den * p), len(kernel)
 
 
+# ---------------------------------------------------------------------------
+# polynomials mod p for the Dedekind test: coefficient lists already reduced
+# into [0, p) with a nonzero leading coefficient, so no loop re-reduces its
+# input
+
+
+def _fp_strip(f):
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _fp_divmod(f, g, p):
+    """Quotient and remainder of f by g != 0."""
+    dg = len(g) - 1
+    if len(f) <= dg:
+        return [], f
+    r = list(f)
+    inv = pow(g[-1], -1, p)
+    q = [0] * (len(f) - dg)
+    for d in range(len(q) - 1, -1, -1):
+        c = r[d + dg] * inv % p
+        q[d] = c
+        if c:
+            for i in range(dg):
+                r[d + i] = (r[d + i] - c * g[i]) % p
+    return q, _fp_strip(r[:dg])
+
+
+def _fp_gcd(f, g, p):
+    """Monic gcd of f and g, not both zero."""
+    while g:
+        f, g = g, _fp_divmod(f, g, p)[1]
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _fp_radical(f, p):
+    """rad(f) of a monic f: the product of its distinct monic irreducible
+    factors.  With c = gcd(f, f'), f / c is the product of the factors
+    whose multiplicity p does not divide; dividing those out of c leaves a
+    p-th power, whose root is handled the same way."""
+    df = _fp_strip([i * a % p for i, a in enumerate(f)][1:])
+    if not df:
+        return _fp_radical(f[::p], p)  # f(x) = u(x^p) = u(x)^p over F_p
+    c = _fp_gcd(f, df, p)
+    g = _fp_divmod(f, c, p)[0]
+    while len(c) > 1:
+        y = _fp_gcd(c, g, p)
+        if len(y) == 1:
+            return [a % p for a in pmul(g, _fp_radical(c[::p], p))]
+        c = _fp_divmod(c, y, p)[0]
+    return g
+
+
 def _dedekind_step(poly, p):
     """Dedekind's criterion with enlargement data.
 
-    With f = prod a_i^i mod p the squarefree split (a_i squarefree and
-    coprime), g = prod a_i is the radical of f mod p and h = prod a_i^(i-1)
-    its cofactor, so no irreducible factor is needed.  Z[theta] is
-    p-maximal iff z = gcd((g h - f)/p, g, h) mod p is constant.  Returns
-    (maximal?, ustar, gain): when not maximal, the order
+    With g = rad(f mod p) and h = (f mod p) / g, no irreducible factor is
+    needed: Z[theta] is p-maximal iff z = gcd((g h - f)/p, g, h) mod p is
+    constant.  Returns (maximal?, ustar, gain): when not maximal, the order
     Z[theta] + (ustar(theta)/p) Z[theta] with ustar = f / z mod p has index
     p^gain = p^deg z over Z[theta].
     """
-    gbar = hbar = [1]
-    for a, mult in mp_squarefree_decomposition(mp_normalize(poly, p), p):
-        gbar = mp_mul(gbar, a, p)
-        for _ in range(mult - 1):
-            hbar = mp_mul(hbar, a, p)
-    gh = pmul(gbar, hbar)
-    diff = [
-        ((gh[i] if i < len(gh) else 0) - (poly[i] if i < len(poly) else 0))
-        for i in range(max(len(gh), len(poly)))
-    ]
-    if any(c % p for c in diff):
-        raise ConsistencyError(f"squarefree split mod {p} does not multiply to f")
-    fbar = pnormalize([(c // p) % p for c in diff])
-    z = mp_gcd(fbar, mp_gcd(gbar, hbar, p), p)
-    if pdeg(z) <= 0:
+    fbar = _fp_strip([c % p for c in poly])
+    gbar = _fp_radical(fbar, p)
+    hbar, r = _fp_divmod(fbar, gbar, p)
+    if r:
+        raise ConsistencyError(f"radical mod {p} does not divide f")
+    z = _fp_gcd(gbar, hbar, p)
+    if len(z) > 1:
+        gh = pmul(gbar, hbar)
+        fhat = _fp_strip([(x - c) // p % p for x, c in zip(gh, poly)])
+        if fhat:
+            z = _fp_gcd(fhat, z, p)
+    if len(z) == 1:
         return True, None, 0
-    ustar = mp_divmod(mp_normalize(poly, p), z, p)[0]
-    return False, ustar, pdeg(z)
+    return False, _fp_divmod(fbar, z, p)[0], len(z) - 1
+
+
+def _dedekind_overorder(order, ustar, p):
+    """order + (U(theta)/p) Z[theta], for the lift U of ustar to [0, p).
+
+    U is monic of degree n - m, and f = U Z + p R over Z for a monic lift
+    Z of z = f / ustar mod p, of degree m.  So U(theta) theta^m lies in
+    p Z[theta] plus the span of the U(theta) theta^j with j < m, and so
+    does each higher multiple: those m elements and p times the order's
+    rows, over den p, generate the enlarged order.
+    """
+    rows, den = order
+    n = len(rows)
+    m = n + 1 - len(ustar)
+    gens = [[p * x for x in row] for row in rows]
+    for j in range(m):
+        gens.append([0] * j + [den * c for c in ustar] + [0] * (m - 1 - j))
+    return _with_content_removed(hnf(gens), den * p)
+
+
+def _maximal_at_2(disc) -> bool:
+    """Whether Stickelberger's relation, d_K = 0 or 1 mod 4, shows an order
+    of discriminant disc (up to odd square factors) to be 2-maximal.
+
+    An index 2^k over it would give d_K = disc / 4^k up to an odd square,
+    which is 1 mod 8.  With v_2(disc) = 3 that makes v_2(d_K) = 1, and
+    with v_2(disc) = 2 it makes d_K = disc / 4 mod 4, so unless
+    disc / 4 = 1 mod 4 there is no such k >= 1.
+    """
+    v = valuation(disc, 2)
+    return v == 3 or (v == 2 and disc // 4 % 4 == 3)
 
 
 def _maximal_order(poly, pdisc):
     """(B, den) of the maximal order of a polynomial of disc pdisc; see
     `maximal_order`."""
     n = pdeg(poly)
-    rows = [[1 if c == k else 0 for c in range(n)] for k in range(n)]
-    den = 1
+    order = [[1 if c == k else 0 for c in range(n)] for k in range(n)], 1
     red = None
     for p, e in factorize(pdisc).items():
         if e < 2:
@@ -355,31 +432,20 @@ def _maximal_order(poly, pdisc):
         maximal, ustar, gained = _dedekind_step(poly, p)
         if maximal:
             continue
-        # first enlargement from the criterion: add (ustar(theta)/p)*Z[theta]
-        if red is None:
-            red = _reduction_vectors(poly, 2 * n - 1)
-        common = den * p // gcd(den, p)
-        scale, uscale = common // den, common // p
-        gens = [[scale * x for x in row] for row in rows]
-        for j in range(n):
-            shifted = [0] * j + list(ustar)
-            gens.append([
-                uscale * sum(shifted[k] * red[k][c] for k in range(len(shifted)))
-                for c in range(n)
-            ])
-        order = _with_content_removed(hnf(gens), common)
+        order = _dedekind_overorder(order, ustar, p)
         cap = e // 2
         for _ in range(cap + 1):
-            if gained >= cap:
+            if gained >= cap or (p == 2 and _maximal_at_2(pdisc // 4**gained)):
                 break
+            if red is None:
+                red = _reduction_vectors(poly, 2 * n - 1)
             order, k = _enlarge_at(order, red, p)
             if k == 0:
                 break
             gained += k
         else:
             raise LimitError(f"maximal order iteration cap exceeded at {p}")
-        rows, den = order
-    return rows, den
+    return order
 
 
 def maximal_order(poly):
@@ -388,8 +454,9 @@ def maximal_order(poly):
     Dedekind's criterion at p depends only on the polynomial (enlargements
     at other primes never change the p-local order), so it gates the work
     at every prime and supplies the first enlargement directly; the
-    radical/multiplier loop finishes the rare deeper-index cases and stops
-    once the index gain reaches its cap v_p(poly disc) // 2.
+    radical/multiplier loop finishes the rare deeper-index cases.  It stops
+    once the index gain reaches its cap v_p(poly disc) // 2, or at p = 2
+    once Stickelberger's relation rules out any further gain.
     """
     rows, den = _maximal_order(poly, discriminant(poly))
     return [[Fraction(x, den) for x in row] for row in rows]
@@ -528,20 +595,6 @@ def _validate_order(rows, den, poly, pdisc):
         if enlarged:
             raise BadBasisError(f"supplied basis is not maximal at {p}")
     return order
-
-
-def power_sums(poly, count):
-    """Newton power sums p_k = sum of roots^k for k < count (monic poly)."""
-    n = pdeg(poly)
-    sums = [n]
-    for k in range(1, count):
-        acc = 0
-        for i in range(1, k):
-            if 0 <= n - i < n:
-                acc += poly[n - i] * sums[k - i]
-        coeff = poly[n - k] if 0 <= n - k < n else 0
-        sums.append(-k * coeff - acc)
-    return sums
 
 
 def trace_gram(fld: NumberFieldData) -> GramMatrix:

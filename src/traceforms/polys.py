@@ -2,10 +2,10 @@
 
 Polynomials are coefficient lists with the constant term first, so
 ``[b, a, 1]`` is x^2 + a x + b.  Integer polynomials stay integer; anything
-that needs division goes through ``fractions.Fraction``.  Includes Sturm
-real-root counting, factorization mod p, Zassenhaus factorization over
-the integers (monic case) and a rational-root test, which is all the field
-machinery needs.
+that needs division goes through ``fractions.Fraction``.  Includes Newton
+power sums and the discriminant read off them, Sturm real-root counting,
+factorization mod p, Zassenhaus factorization over the integers (monic
+case) and a rational-root test, which is all the field machinery needs.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import RepeatedRootError
+from .linalg import det_int
 from .padic import is_prime
 
 
@@ -111,8 +112,6 @@ def sylvester_matrix(f, g):
 
 def resultant(f, g) -> int:
     """Resultant of two integer polynomials (via Sylvester + Bareiss)."""
-    from .linalg import det_int
-
     f, g = pnormalize(f), pnormalize(g)
     if not f or not g:
         return 0
@@ -123,20 +122,40 @@ def resultant(f, g) -> int:
     return det_int(sylvester_matrix(f, g))
 
 
+def power_sums(poly, count):
+    """Newton power sums p_k = sum of roots^k for k < count (monic poly)."""
+    n = pdeg(poly)
+    sums = [n]
+    for k in range(1, count):
+        acc = 0
+        for i in range(1, k):
+            if 0 <= n - i < n:
+                acc += poly[n - i] * sums[k - i]
+        coeff = poly[n - k] if 0 <= n - k < n else 0
+        sums.append(-k * coeff - acc)
+    return sums
+
+
 def discriminant(f) -> int:
     """Discriminant of a monic integer polynomial of degree >= 2; other
-    input raises ValueError, as +-Res(f, f') is the discriminant only then."""
+    input raises ValueError.
+
+    With V the Vandermonde matrix of the roots, disc = det(V)^2 =
+    det(V^T V), and V^T V is the n x n Hankel matrix of the power sums
+    (p_(i+j)): a Bareiss determinant of size n, not 2n - 1 as for
+    Res(f, f').
+    """
     f = pnormalize(f)
     if not f or f[-1] != 1 or any(not isinstance(c, int) for c in f):
         raise ValueError("discriminant requires a monic integer polynomial")
     n = pdeg(f)
     if n < 2:
         raise ValueError("degree must be at least 2")
-    res = resultant(f, pderiv(f))
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    if res == 0:
+    sums = power_sums(f, 2 * n - 1)
+    disc = det_int([sums[i:i + n] for i in range(n)])
+    if disc == 0:
         raise RepeatedRootError("polynomial has a repeated root")
-    return sign * res
+    return disc
 
 
 def _sign_variations(values) -> int:

@@ -63,6 +63,8 @@ def test_parse_record_examples():
         parse_record({"label": "x", "poly": "nope"})
     with pytest.raises(ParseError):
         parse_record({"label": "x", "poly": [1, 0, 1], "basis": [[1, "x"], [0, 1]]})
+    with pytest.raises(ParseError, match="bad rational True"):
+        parse_record({"label": "x", "poly": [-5, 0, 1], "basis": [[True, False], [0, 1]]})
 
 
 @pytest.mark.parametrize("pair", [[1.5, 1], ["1", 1], [True, 1]])

@@ -17,9 +17,12 @@ from traceforms.errors import (
     ConsistencyError,
     HypothesisError,
     NotAFieldError,
+    RepeatedRootError,
     UnsupportedSplittingError,
 )
 from traceforms.linalg import mat_mul, transpose
+from traceforms.padic import factorize, valuation
+from traceforms.polys import power_sums
 from traceforms.numberfield import (
     FieldRecord,
     _dedekind_step,
@@ -28,7 +31,6 @@ from traceforms.numberfield import (
     field_from_record,
     is_fundamental_discriminant,
     maximal_order,
-    power_sums,
     ramification_profile,
     signature_of_field,
     splitting_data,
@@ -149,18 +151,8 @@ def test_dedekind_criterion_direct():
     assert not _dedekind_step([-5, 0, 1], 2)[0]
 
 
-def dedekind_step_by_factoring(poly, p):
-    """Reference `_dedekind_step`: g and h from the full factorization of
-    poly mod p, g the product of the irreducible factors and h the product
-    of each factor to its multiplicity minus one."""
-    fac = polys.factor_mod_p(poly, p)
-    gbar = [1]
-    for g, _ in fac:
-        gbar = polys.pnormalize([c % p for c in polys.pmul(gbar, g)])
-    hbar = [1]
-    for g, mult in fac:
-        for _ in range(mult - 1):
-            hbar = polys.pnormalize([c % p for c in polys.pmul(hbar, g)])
+def dedekind_step_from(poly, p, gbar, hbar):
+    """`_dedekind_step` given g, the radical of f mod p, and h = f / g."""
     gh = polys.pmul(gbar, hbar)
     diff = [
         ((gh[i] if i < len(gh) else 0) - (poly[i] if i < len(poly) else 0))
@@ -173,6 +165,32 @@ def dedekind_step_by_factoring(poly, p):
         return True, None, 0
     ustar = polys.mp_divmod(polys.mp_normalize(poly, p), z, p)[0]
     return False, ustar, polys.pdeg(z)
+
+
+def dedekind_step_by_factoring(poly, p):
+    """Reference `_dedekind_step`: g and h from the full factorization of
+    poly mod p, g the product of the irreducible factors and h the product
+    of each factor to its multiplicity minus one."""
+    fac = polys.factor_mod_p(poly, p)
+    gbar = [1]
+    for g, _ in fac:
+        gbar = polys.pnormalize([c % p for c in polys.pmul(gbar, g)])
+    hbar = [1]
+    for g, mult in fac:
+        for _ in range(mult - 1):
+            hbar = polys.pnormalize([c % p for c in polys.pmul(hbar, g)])
+    return dedekind_step_from(poly, p, gbar, hbar)
+
+
+def dedekind_step_by_squarefree_split(poly, p):
+    """Reference `_dedekind_step`: with f = prod a_i^i mod p the squarefree
+    split, g = prod a_i and h = prod a_i^(i-1)."""
+    gbar = hbar = [1]
+    for a, mult in polys.mp_squarefree_decomposition(polys.mp_normalize(poly, p), p):
+        gbar = polys.mp_mul(gbar, a, p)
+        for _ in range(mult - 1):
+            hbar = polys.mp_mul(hbar, a, p)
+    return dedekind_step_from(poly, p, gbar, hbar)
 
 
 def test_dedekind_step_matches_the_factoring_reference():
@@ -233,6 +251,80 @@ def test_sturm_counting_runs_only_where_the_disc_sign_leaves_two_signatures(
         make_field("z8", [1, 0, 0, 0, 1])
 
 
+@pytest.fixture(scope="module")
+def steps_with_p_squared_dividing_disc():
+    """(poly, p) with p^2 | disc(poly): over x^3 + a x + b for the fields
+    of the exact cubic reference with |disc| <= 20000, and over every
+    monic quartic of the quartic-scan box with nonzero disc of absolute
+    value <= 100000, reducible ones included."""
+    rows = json.loads(CUBIC_REFERENCE.read_text())["rows"]
+    cubics = [[b, a, 0, 1] for disc, a, b, _ in rows if abs(disc) <= 20000]
+    steps = {"cubic": [], "quartic": []}
+    for poly in cubics:
+        steps["cubic"] += [(poly, p) for p, e in factorize(polys.discriminant(poly)).items()
+                           if e >= 2]
+    for a, b, c, d in itertools.product(
+        range(-1, 2), range(-4, 5), range(-4, 5), range(-6, 7)
+    ):
+        if d == 0:
+            continue
+        poly = [d, c, b, a, 1]
+        try:
+            disc = polys.discriminant(poly)
+        except RepeatedRootError:
+            continue
+        if abs(disc) <= 100000:
+            steps["quartic"] += [(poly, p) for p, e in factorize(disc).items() if e >= 2]
+    return steps
+
+
+def test_dedekind_step_matches_the_squarefree_reference(steps_with_p_squared_dividing_disc):
+    steps = steps_with_p_squared_dividing_disc
+    assert {name: len(s) for name, s in steps.items()} == {
+        "cubic": 5653, "quartic": 2520}
+    not_maximal = Counter()
+    for name, family in steps.items():
+        for poly, p in family:
+            got = _dedekind_step(poly, p)
+            assert got == dedekind_step_by_squarefree_split(poly, p), (poly, p)
+            not_maximal[name, p > 3] += not got[0]
+    # both families enlarge at p = 2 or 3 and at some p > 3
+    assert len(not_maximal) == 4 and min(not_maximal.values()) > 0, not_maximal
+
+
+def test_stickelberger_rule_on_quadratic_orders():
+    # Z[sqrt d] with disc 4d: maximal at 2 exactly when d = 2, 3 mod 4
+    for d in (-1, 2, 3, -2, 6, 7, -5, 11):
+        assert numberfield._maximal_at_2(4 * d), d
+    for d in (-3, 5, -7, 13, 17, 21):
+        assert not numberfield._maximal_at_2(4 * d), d
+    assert not numberfield._maximal_at_2(16 * 3)  # v_2 = 4 decides nothing
+    assert not numberfield._maximal_at_2(2 * 3)
+
+
+def test_stickelberger_rule_skips_only_enlargements_that_gain_nothing(
+        monkeypatch, steps_with_p_squared_dividing_disc):
+    # the orders with the rule at p = 2 are those of the full
+    # radical/multiplier loop, and the rule fires at v_2 = 2 and at 3
+    at_2 = [poly for family in steps_with_p_squared_dividing_disc.values()
+            for poly, p in family if p == 2]
+    rule = numberfield._maximal_at_2
+    fired = Counter()
+
+    def recording(disc):
+        fired[valuation(disc, 2), rule(disc)] += 1
+        return rule(disc)
+
+    def build_all():
+        return [numberfield._maximal_order(poly, polys.discriminant(poly)) for poly in at_2]
+
+    monkeypatch.setattr(numberfield, "_maximal_at_2", recording)
+    with_rule = build_all()
+    monkeypatch.setattr(numberfield, "_maximal_at_2", lambda disc: False)
+    assert build_all() == with_rule
+    assert fired[2, True] > 0 and fired[3, True] > 0, fired
+
+
 def test_each_build_computes_the_polynomial_discriminant_once(monkeypatch):
     records = list(ingest(CORPUS))
     records.append(FieldRecord(
@@ -265,6 +357,26 @@ def test_cubic_reference_orders_are_pinned():
     assert len(keys) == 1228
     digest = hashlib.sha256(repr(keys).encode()).hexdigest()
     assert digest.startswith("9c99f1367e9f4f6b")
+
+
+def test_cubic_witness_orders_are_pinned():
+    # the 105 fields of every third equal-disc group of complex cubic
+    # fields of the reference with |disc| <= 20000, by |disc|, from the
+    # third on: order rows, den, disc and index
+    reference = {}
+    for disc, a, b, _ in json.loads(CUBIC_REFERENCE.read_text())["rows"]:
+        if abs(disc) <= 20000:
+            reference.setdefault(disc, []).append((a, b))
+    discs = sorted((d for d, reps in reference.items() if d < 0 and len(reps) > 1),
+                   key=abs)
+    keys = []
+    for disc in discs[2::3]:
+        for a, b in reference[disc]:
+            fld = make_field("c", [b, a, 0, 1])
+            keys.append((fld.rows, fld.den, fld.disc, fld.index))
+    assert len(keys) == 105
+    digest = hashlib.sha256(repr(keys).encode()).hexdigest()
+    assert digest.startswith("015299fdcb9564b1")
 
 
 def test_splitting_examples():

@@ -19,6 +19,7 @@ from traceforms.polys import (
     mp_mul,
     mp_normalize,
     pdeg,
+    pderiv,
     pmul,
     pnormalize,
     resultant,
@@ -44,6 +45,31 @@ def test_discriminant_matches_cubic_formula():
         if d == 0:
             continue
         assert discriminant([b, a, 0, 1]) == d
+
+
+def discriminant_by_resultant(f):
+    """Reference: disc = (-1)^(n(n-1)/2) Res(f, f') for monic f."""
+    n = pdeg(f)
+    return (-1) ** (n * (n - 1) // 2) * resultant(f, pderiv(f))
+
+
+def test_discriminant_matches_the_resultant_formula():
+    rng = random.Random(2024)
+    repeated = 0
+    for n in range(2, 13):
+        for trial in range(40):
+            f = [rng.randint(-9, 9) for _ in range(n)] + [1]
+            if trial % 4 == 0:  # a square factor: a repeated root
+                r = rng.randint(-3, 3)
+                f = pmul(f[:-2] + [1], [r * r, -2 * r, 1])
+            expected = discriminant_by_resultant(f)
+            if expected == 0:
+                repeated += 1
+                with pytest.raises(RepeatedRootError):
+                    discriminant(f)
+            else:
+                assert discriminant(f) == expected, f
+    assert repeated >= 11 * 10
 
 
 def test_discriminant_repeated_root():

@@ -1,5 +1,7 @@
 """Every module-level underscore name of the package is read somewhere in
-its own module: a private helper that nothing calls is dead code."""
+its own module: a private helper that nothing calls is dead code.  So is
+every name a module imports at module level, except in `__init__`, whose
+imports are the package's exports."""
 
 import ast
 from pathlib import Path
@@ -31,6 +33,23 @@ def unread_private_names(tree):
     return sorted((line, name) for name, line in defined.items() if name not in read)
 
 
+def unread_imports(tree):
+    """(line, name) for each name bound by a module-level import (from
+    __future__ aside) that no expression of the module reads."""
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read:
+                    found.append((node.lineno, name))
+    return sorted(found)
+
+
 def test_unread_private_names_are_detected():
     source = (
         "import os as _os\n"
@@ -53,5 +72,32 @@ def test_package_private_names_are_read_in_their_module():
         f"{path.name}:{line}: {name}"
         for path in modules
         for line, name in unread_private_names(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
+def test_unread_imports_are_detected():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path\n"
+        "import json as js\n"
+        "from math import gcd, isqrt\n"
+        "from .polys import pdeg\n"
+        "from . import linalg\n"
+        "def f(x: pdeg) -> int:\n    import sys\n    return gcd(x, linalg.n)\n"
+    )
+    assert unread_imports(ast.parse(source)) == [
+        (2, "os"), (3, "os"), (4, "js"), (5, "isqrt"),
+    ]
+
+
+def test_package_modules_read_their_imports():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in modules
+        for line, name in unread_imports(ast.parse(path.read_text()))
     ]
     assert found == []
