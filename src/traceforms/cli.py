@@ -529,9 +529,6 @@ def main(argv=None) -> int:
             )
         if args.command == "oracle-check":
             return cmd_oracle_check(records, out)
-    except (ParseError, LimitError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
     except (TamenessError, UnsupportedSplittingError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_TAME

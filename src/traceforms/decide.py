@@ -23,7 +23,6 @@ from .raminv import first_ramification_factor, nonresidue_odd_count
 
 ISOMETRIC_TRACE = "ISOMETRIC_TRACE"
 SAME_SPINOR_GENUS = "SAME_SPINOR_GENUS"
-GENUS_ONLY = "GENUS_ONLY"
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ dividing the index (where native factorization mod p is not valid).  The
 maximal order is computed by Dedekind p-maximality tests plus the standard
 radical/multiplier enlargement loop at every prime whose square divides the
 polynomial discriminant.  The Dedekind test needs only the radical of f
-mod p, from one gcd(f, f'), and its overorder is one HNF of p times the
-order and the m = deg z multiples U(theta) theta^j of its multiplier.  A
+mod p, and runs on the mod-p kernel of `polys` (`mp_radical`, `mp_divmod`,
+`mp_gcd`); its overorder is one HNF of p times the order and the
+m = deg z multiples U(theta) theta^j of its multiplier.  A
 build computes the polynomial discriminant once; its sign also gives the
 signature wherever Brill's rule leaves one choice.
 
@@ -49,6 +50,10 @@ from .polys import (
     discriminant,
     factor_mod_p,
     is_irreducible_int,
+    mp_divmod,
+    mp_gcd,
+    mp_normalize,
+    mp_radical,
     pdeg,
     pmul,
     pnormalize,
@@ -309,61 +314,6 @@ def _enlarge_at(order, red, p):
     return _with_content_removed(mat_mul(hu, rows), den * p), len(kernel)
 
 
-# ---------------------------------------------------------------------------
-# polynomials mod p for the Dedekind test: coefficient lists already reduced
-# into [0, p) with a nonzero leading coefficient, so no loop re-reduces its
-# input
-
-
-def _fp_strip(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _fp_divmod(f, g, p):
-    """Quotient and remainder of f by g != 0."""
-    dg = len(g) - 1
-    if len(f) <= dg:
-        return [], f
-    r = list(f)
-    inv = pow(g[-1], -1, p)
-    q = [0] * (len(f) - dg)
-    for d in range(len(q) - 1, -1, -1):
-        c = r[d + dg] * inv % p
-        q[d] = c
-        if c:
-            for i in range(dg):
-                r[d + i] = (r[d + i] - c * g[i]) % p
-    return q, _fp_strip(r[:dg])
-
-
-def _fp_gcd(f, g, p):
-    """Monic gcd of f and g, not both zero."""
-    while g:
-        f, g = g, _fp_divmod(f, g, p)[1]
-    inv = pow(f[-1], -1, p)
-    return [c * inv % p for c in f]
-
-
-def _fp_radical(f, p):
-    """rad(f) of a monic f: the product of its distinct monic irreducible
-    factors.  With c = gcd(f, f'), f / c is the product of the factors
-    whose multiplicity p does not divide; dividing those out of c leaves a
-    p-th power, whose root is handled the same way."""
-    df = _fp_strip([i * a % p for i, a in enumerate(f)][1:])
-    if not df:
-        return _fp_radical(f[::p], p)  # f(x) = u(x^p) = u(x)^p over F_p
-    c = _fp_gcd(f, df, p)
-    g = _fp_divmod(f, c, p)[0]
-    while len(c) > 1:
-        y = _fp_gcd(c, g, p)
-        if len(y) == 1:
-            return [a % p for a in pmul(g, _fp_radical(c[::p], p))]
-        c = _fp_divmod(c, y, p)[0]
-    return g
-
-
 def _dedekind_step(poly, p):
     """Dedekind's criterion with enlargement data.
 
@@ -373,20 +323,19 @@ def _dedekind_step(poly, p):
     Z[theta] + (ustar(theta)/p) Z[theta] with ustar = f / z mod p has index
     p^gain = p^deg z over Z[theta].
     """
-    fbar = _fp_strip([c % p for c in poly])
-    gbar = _fp_radical(fbar, p)
-    hbar, r = _fp_divmod(fbar, gbar, p)
+    fbar = mp_normalize(poly, p)
+    gbar = mp_radical(fbar, p)
+    hbar, r = mp_divmod(fbar, gbar, p)
     if r:
         raise ConsistencyError(f"radical mod {p} does not divide f")
-    z = _fp_gcd(gbar, hbar, p)
+    z = mp_gcd(gbar, hbar, p)
     if len(z) > 1:
         gh = pmul(gbar, hbar)
-        fhat = _fp_strip([(x - c) // p % p for x, c in zip(gh, poly)])
-        if fhat:
-            z = _fp_gcd(fhat, z, p)
+        fhat = mp_normalize([(x - c) // p for x, c in zip(gh, poly)], p)
+        z = mp_gcd(fhat, z, p)
     if len(z) == 1:
         return True, None, 0
-    return False, _fp_divmod(fbar, z, p)[0], len(z) - 1
+    return False, mp_divmod(fbar, z, p)[0], len(z) - 1
 
 
 def _dedekind_overorder(order, ustar, p):

@@ -241,9 +241,25 @@ def mp_pow_mod(base, e: int, modpoly, p):
     return result
 
 
-def _mp_pth_root(f, p):
-    # f is a polynomial in x^p over F_p; its p-th root maps x^{pi} -> x^i
-    return [f[i] for i in range(0, len(f), p)]
+def mp_radical(f, p):
+    """rad(f) of a monic f mod p: the product of its distinct monic
+    irreducible factors.  With c = gcd(f, f'), f / c is the product of the
+    factors whose multiplicity p does not divide; dividing those out of c
+    leaves a p-th power, whose root is handled the same way."""
+    f = mp_normalize(f, p)
+    if pdeg(f) < 1:
+        return [1]
+    df = mp_normalize(pderiv(f), p)
+    if not df:
+        return mp_radical(f[::p], p)  # f(x) = u(x^p) = u(x)^p over F_p
+    c = mp_gcd(f, df, p)
+    g = mp_divmod(f, c, p)[0]
+    while pdeg(c) > 0:
+        y = mp_gcd(c, g, p)
+        if pdeg(y) == 0:
+            return mp_mul(g, mp_radical(c[::p], p), p)
+        c = mp_divmod(c, y, p)[0]
+    return g
 
 
 def mp_squarefree_decomposition(f, p):
@@ -256,7 +272,7 @@ def mp_squarefree_decomposition(f, p):
             return
         df = mp_normalize(pderiv(f), p)
         if not df:
-            recurse(_mp_pth_root(f, p), mult * p)
+            recurse(f[::p], mult * p)  # f(x) = u(x^p) = u(x)^p
             return
         c = mp_gcd(f, df, p)
         w = mp_divmod(f, c, p)[0]
@@ -270,7 +286,7 @@ def mp_squarefree_decomposition(f, p):
             c = mp_divmod(c, y, p)[0]
             i += 1
         if pdeg(c) > 0:
-            recurse(_mp_pth_root(c, p), mult * p)
+            recurse(c[::p], mult * p)
 
     recurse(f, 1)
     return out

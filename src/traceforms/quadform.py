@@ -30,7 +30,7 @@ from .errors import (
     SingularFormError,
 )
 from .linalg import det_int, mat_mul, unimodular_inverse
-from .padic import check_odd_prime, factorize, jacobi_symbol, val_unit
+from .padic import check_odd_prime, factorize, jacobi_symbol, square_class, val_unit
 
 
 class GramMatrix:
@@ -180,12 +180,6 @@ def _absorb_even_block(u: Fraction, block):
     return [t, m33, third]
 
 
-def _unit8(x: Fraction) -> int:
-    num = x.numerator % 8
-    den = x.denominator % 8
-    return num * pow(den, -1, 8) % 8
-
-
 def _two_adic_symbol(gram: GramMatrix):
     """Raw 2-adic symbol: sorted list of [scale, dim, sign, type, oddity]."""
     by_scale: dict[int, dict] = {}
@@ -208,15 +202,15 @@ def _two_adic_symbol(gram: GramMatrix):
             det = Fraction(1)
             for e00, e01, e11 in even:
                 det *= e00 * e11 - e01 * e01
-            sign = 1 if _unit8(det) in (1, 7) else -1
+            sign = 1 if square_class(det, 2) in (1, 7) else -1
             symbol.append([scale, dim, sign, 0, 0])
         else:
             det = Fraction(1)
             oddity = 0
             for u in odd:
                 det *= u
-                oddity += _unit8(u)
-            sign = 1 if _unit8(det) in (1, 7) else -1
+                oddity += square_class(u, 2)
+            sign = 1 if square_class(det, 2) in (1, 7) else -1
             symbol.append([scale, len(odd), sign, 1, oddity % 8])
     return symbol
 

@@ -336,6 +336,8 @@ def test_main_exit_codes(tmp_path, capsys):
     bad.write_text("not json\n")
     assert main(["invariants", str(bad)]) == EXIT_PARSE
     capsys.readouterr()
+    assert main(["scan", "--cubic-search", "200001"]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: cubic search cap is 200000")
     # wild pair: every isometry procedure is blocked by tameness
     wild = write_records(tmp_path, [
         {"label": "a", "poly": [1, 0, 0, 1, 0, 0, 1]},

@@ -18,6 +18,7 @@ from traceforms.polys import (
     is_squarefree_q,
     mp_mul,
     mp_normalize,
+    mp_radical,
     pdeg,
     pderiv,
     pmul,
@@ -149,6 +150,37 @@ def test_factor_mod_p_known():
     # x^4 + 1 mod 2 = (x + 1)^4
     fac2 = factor_mod_p([1, 0, 0, 0, 1], 2)
     assert fac2 == [([1, 1], 4)]
+
+
+def test_mp_radical_known():
+    # x^3 + x = x (x + 1)^2 mod 2: f / gcd(f, f') = x, and the square
+    # x^2 + 1 left in the gcd gives its root x + 1
+    assert mp_radical([0, 1, 0, 1], 2) == [0, 1, 1]
+    # x^4 + 1 = (x + 1)^4 mod 2 has zero derivative
+    assert mp_radical([1, 0, 0, 0, 1], 2) == [1, 1]
+    assert mp_radical([4], 5) == [1]
+
+
+def test_mp_radical_is_the_product_of_the_distinct_irreducibles():
+    rng = random.Random(23)
+
+    def monic(deg, p):
+        return [rng.randrange(p) for _ in range(deg)] + [1]
+
+    cases = []
+    for _ in range(150):
+        p = rng.choice([2, 3, 5, 7])
+        cases.append((monic(rng.randint(1, 12), p), p))
+        # g(x^p) h = g(x)^p h mod p, so the p-th root branch runs
+        k = rng.randint(1, 12 // p)
+        gxp = [0] * (k * p + 1)
+        gxp[::p] = monic(k, p)
+        cases.append((mp_mul(gxp, monic(rng.randint(0, 12 - k * p), p), p), p))
+    for f, p in cases:
+        rad = [1]
+        for g, _ in factor_mod_p(f, p):
+            rad = mp_mul(rad, g, p)
+        assert mp_radical(f, p) == rad
 
 
 def test_is_irreducible_int():
