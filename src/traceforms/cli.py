@@ -136,6 +136,8 @@ def parse_record(obj, line=None) -> FieldRecord:
             try:
                 p = int(key)
             except ValueError:
+                p = None
+            if p is None or str(p) != key:  # one spelling per prime
                 raise ParseError(f"bad splitting prime {key!r}", line)
             if not isinstance(pairs, list) or not all(
                 isinstance(ef, list) and len(ef) == 2 and all(map(_is_int, ef))
@@ -155,22 +157,28 @@ def parse_record(obj, line=None) -> FieldRecord:
 
 def ingest(path) -> list[FieldRecord]:
     """Parse a line-delimited record file; duplicate labels are rejected."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 (byte {exc.start})")
     records = []
     seen = set()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", lineno)
-            rec = parse_record(obj, lineno)
-            if rec.label in seen:
-                raise DuplicateLabelError(f"duplicate label {rec.label!r}", lineno)
-            seen.add(rec.label)
-            records.append(rec)
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        raw = raw.strip()
+        if not raw:
+            continue
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON ({exc.msg})", lineno)
+        rec = parse_record(obj, lineno)
+        if rec.label in seen:
+            raise DuplicateLabelError(f"duplicate label {rec.label!r}", lineno)
+        seen.add(rec.label)
+        records.append(rec)
     return records
 
 
@@ -342,6 +350,8 @@ def _cubic_group_reports(group, witness_bound, out):
 def cmd_scan(records, out, group_by_disc=False, cubic_search=None,
              witness_bound=8) -> int:
     _check_witness_bound(witness_bound)
+    if cubic_search is not None and cubic_search > MAX_CUBIC_SEARCH:
+        raise LimitError(f"cubic search cap is {MAX_CUBIC_SEARCH}, got {cubic_search}")
     fields = _build_fields(records)
     groups = {}
     for label, fld in fields.items():
@@ -357,10 +367,6 @@ def cmd_scan(records, out, group_by_disc=False, cubic_search=None,
             for j in range(i + 1, len(labels)):
                 _run_procedures(fields[labels[i]], fields[labels[j]], out)
     if cubic_search is not None:
-        if cubic_search > MAX_CUBIC_SEARCH:
-            raise LimitError(
-                f"cubic search cap is {MAX_CUBIC_SEARCH}, got {cubic_search}"
-            )
         classes = enumerate_cubic_fields(cubic_search)
         pair_groups = equal_disc_groups(classes)
         npairs = 0

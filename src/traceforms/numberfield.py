@@ -20,13 +20,15 @@ forward substitution against a triangular basis, and the discriminant and
 index are read off the diagonal.  No Fraction enters this arithmetic; only
 `maximal_order` and `NumberFieldData.basis` hand out Fraction rows.
 
-A built field keeps its order the same way, as integer rows over one
-denominator (a supplied basis as given, not as its HNF), so `trace_gram`
-sums integers and divides by den^2 once per entry.  The field also keeps
-its ramification profile: `ramification_profile` factors each ramified
-prime once per field and memoises the splittings, or the class and args of
-the error they raised, on the field; `splitting_data` at a ramified prime
-returns the memo's entry.
+Every build computes the maximal order.  A supplied basis must span it
+(equal HNFs over a common denominator) and is then kept as given, so
+`trace_gram` sums integers and divides by den^2 once per entry.  Each
+supplied splitting is checked at build as on use: against the native
+factorization where p does not divide the index, ramified exactly when p
+divides disc, and v_p(disc) = n - f_p when tame.  `ramification_profile`
+factors each ramified prime once per field and memoises the splittings,
+or the class and args of the error they raised, on the field;
+`splitting_data` at a ramified prime reads that memo.
 """
 
 from __future__ import annotations
@@ -203,7 +205,7 @@ def _with_content_removed(rows, den):
 
 
 def _mult_table(order, red):
-    """Integer coordinates of b_i * b_j in the basis; raises if not a ring."""
+    """Integer coordinates of b_i * b_j in the basis of an order."""
     rows, den = order
     n = len(rows)
     table = [[None] * n for _ in range(n)]
@@ -227,11 +229,11 @@ def _mult_table(order, red):
             for v in vec:
                 q, r = divmod(v, den)
                 if r:
-                    raise BadBasisError("basis is not closed under multiplication")
+                    raise ConsistencyError("order is not closed under multiplication")
                 w.append(q)
             coords = _solve_triangular(rows, w)
             if coords is None:
-                raise BadBasisError("basis is not closed under multiplication")
+                raise ConsistencyError("order is not closed under multiplication")
             table[i][j] = table[j][i] = coords
     return table
 
@@ -480,11 +482,14 @@ def field_from_record(rec: FieldRecord) -> NumberFieldData:
     pdisc = discriminant(poly)
     if abs(pdisc) > DISC_CAP:
         raise LimitError(f"|poly disc| = {abs(pdisc)} exceeds the cap {DISC_CAP}")
+    order = rows, den = _maximal_order(poly, pdisc)
     if rec.basis is not None:
         rows, den = _integer_rows(rec.basis, n)
-        order = _validate_order(rows, den, poly, pdisc)
-    else:
-        order = rows, den = _maximal_order(poly, pdisc)
+        common = den * order[1] // gcd(den, order[1])
+        if hnf([[x * (common // den) for x in row] for row in rows]) != hnf(
+            [[x * (common // order[1]) for x in row] for row in order[0]]
+        ):
+            raise BadBasisError("supplied basis does not span the maximal order")
     disc, index = _disc_and_index(order, pdisc)
     r, s = _signature(poly, pdisc)
     supplied = {}
@@ -494,7 +499,7 @@ def field_from_record(rec: FieldRecord) -> NumberFieldData:
             if not is_prime(p):
                 raise ConsistencyError(f"splitting key {p} is not prime")
             supplied[p] = make_splitting(p, pairs, n)
-    return NumberFieldData(
+    fld = NumberFieldData(
         label=rec.label,
         n=n,
         poly=tuple(poly),
@@ -507,6 +512,9 @@ def field_from_record(rec: FieldRecord) -> NumberFieldData:
         supplied_splitting=supplied,
         galois=rec.galois,
     )
+    for p in supplied:
+        _splitting_at(fld, p)
+    return fld
 
 
 def _integer_rows(basis, n):
@@ -519,31 +527,6 @@ def _integer_rows(basis, n):
         for x in row:
             den = den * x.denominator // gcd(den, x.denominator)
     return [[x.numerator * (den // x.denominator) for x in row] for row in basis], den
-
-
-def _validate_order(rows, den, poly, pdisc):
-    """(B, den) of the HNF of a supplied basis rows / den, which must
-    contain 1, be a ring, and be maximal."""
-    n = len(rows)
-    rows = hnf(rows)
-    if len(rows) != n:
-        raise BadBasisError("basis is singular")
-    order = _with_content_removed(rows, den)
-    if _solve_triangular(order[0], [order[1]] + [0] * (n - 1)) is None:
-        raise BadBasisError("basis does not contain 1")
-    red = _reduction_vectors(poly, 2 * n - 1)
-    _mult_table(order, red)  # raises BadBasisError if not a ring
-    covolume = _diagonal_product(order[0])
-    order_disc, r = divmod(pdisc * covolume * covolume, order[1] ** (2 * n))
-    if r:
-        raise BadBasisError("basis is not an order")
-    for p, e in factorize(order_disc).items():
-        if e < 2:
-            continue
-        _, enlarged = _enlarge_at(order, red, p)
-        if enlarged:
-            raise BadBasisError(f"supplied basis is not maximal at {p}")
-    return order
 
 
 def trace_gram(fld: NumberFieldData) -> GramMatrix:
@@ -585,6 +568,11 @@ def _splitting_at(fld: NumberFieldData, p: int) -> SplittingData:
         raise UnsupportedSplittingError(p)
     else:
         split = supplied
+    # Dedekind's discriminant theorem: p ramifies iff p divides disc
+    if split.ramified != (fld.disc % p == 0):
+        if split.ramified:
+            raise ConsistencyError(f"{p} does not divide disc but splitting is ramified")
+        raise ConsistencyError(f"{p} divides disc but splitting is unramified")
     if split.tame:
         v = valuation(fld.disc, p)
         if v != fld.n - split.f_sum:
@@ -599,57 +587,36 @@ def _splitting_at(fld: NumberFieldData, p: int) -> SplittingData:
     return split
 
 
-def _ramified_splitting(fld: NumberFieldData, p: int) -> SplittingData:
-    sd = _splitting_at(fld, p)
-    if not sd.ramified:
-        raise ConsistencyError(f"{p} divides disc but splitting is unramified")
-    return sd
-
-
-def _ramified_memo(fld: NumberFieldData) -> tuple:
-    """The field's memo: its ramified SplittingData, or the (class, args)
-    of the error that computing them raised.  Filled on first use."""
-    memo = fld._ramified
-    if memo is None:
-        try:
-            memo = tuple(_ramified_splitting(fld, p) for p in factorize(fld.disc))
-        except TraceFormsError as exc:
-            memo = (type(exc), exc.args)
-        object.__setattr__(fld, "_ramified", memo)
-    return memo
-
-
-def _failed(memo) -> bool:
-    return bool(memo) and isinstance(memo[0], type)
-
-
 def splitting_data(fld: NumberFieldData, p: int) -> SplittingData:
     """Splitting of p: native factorization mod p when p does not divide
-    the index, otherwise supplied data from the record.  A tame splitting
-    is checked against the discriminant valuation formula
-    v_p(disc) = n - f_p, with a ConsistencyError on mismatch.  At a
-    ramified p it is the entry of the field's ramification profile."""
+    the index, otherwise supplied data from the record.  The splitting is
+    ramified exactly when p divides disc, and a tame splitting satisfies
+    v_p(disc) = n - f_p; a ConsistencyError reports either mismatch.  At a
+    ramified p it is the entry of the field's ramification profile, so a
+    profile that failed at any prime raises its error here too."""
     if not is_prime(p):
         raise ConsistencyError(f"{p} is not prime")
     if fld.disc % p == 0:
-        memo = _ramified_memo(fld)
-        if not _failed(memo):
-            for sd in memo:
-                if sd.p == p:
-                    return sd
+        return ramification_profile(fld)[0][p]
     return _splitting_at(fld, p)
 
 
 def ramification_profile(fld: NumberFieldData):
     """Splitting at every ramified prime, plus the global tameness flag.
 
-    Returns (profile dict p -> SplittingData, tame: bool).  `splitting_data`
-    verifies v_p(disc) = n - f_p at every tame prime.  The splittings are
-    computed once per field and kept on it; an error is kept as its class
-    and args and raised again on every call.
+    Returns (profile dict p -> SplittingData, tame: bool), checked as in
+    `splitting_data`.  The splittings are computed once per field and
+    kept on it; an error is kept as its class and args and raised again
+    on every call.
     """
-    memo = _ramified_memo(fld)
-    if _failed(memo):
+    memo = fld._ramified
+    if memo is None:
+        try:
+            memo = tuple(_splitting_at(fld, p) for p in factorize(fld.disc))
+        except TraceFormsError as exc:
+            memo = (type(exc), exc.args)
+        object.__setattr__(fld, "_ramified", memo)
+    if memo and isinstance(memo[0], type):
         cls, args = memo
         raise cls(*args)
     return {sd.p: sd for sd in memo}, all(sd.tame for sd in memo)

@@ -67,6 +67,15 @@ def test_parse_record_examples():
         parse_record({"label": "x", "poly": [-5, 0, 1], "basis": [[True, False], [0, 1]]})
 
 
+@pytest.mark.parametrize("key", ["02", " 2", "2 ", "+2", "2_0", "\u0662", "two", ""])
+def test_splitting_prime_must_be_canonical_decimal(key):
+    # "02" would otherwise replace the entry at "2" without a word
+    rec = {"label": "c", "poly": [8, -2, 1, 1],
+           "splitting": {"2": [[1, 1], [1, 1], [1, 1]], key: [[1, 1], [1, 2]]}}
+    with pytest.raises(ParseError, match="bad splitting prime"):
+        parse_record(rec)
+
+
 @pytest.mark.parametrize("pair", [[1.5, 1], ["1", 1], [True, 1]])
 def test_splitting_pairs_must_be_integers(tmp_path, capsys, pair):
     rec = {"label": "c", "poly": [-1, -1, 0, 1],
@@ -336,8 +345,25 @@ def test_main_exit_codes(tmp_path, capsys):
     bad.write_text("not json\n")
     assert main(["invariants", str(bad)]) == EXIT_PARSE
     capsys.readouterr()
-    assert main(["scan", "--cubic-search", "200001"]) == EXIT_PARSE
-    assert capsys.readouterr().err.startswith("error: cubic search cap is 200000")
+    # a missing file and a file that is not UTF-8 are parse errors
+    missing = str(tmp_path / "no-such.jsonl")
+    assert main(["invariants", missing]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read {missing}: No such file or directory\n"
+    latin = tmp_path / "latin.jsonl"
+    latin.write_bytes(b'{"label": "\xff", "poly": [-1, -1, 0, 1]}\n')
+    assert main(["invariants", str(latin)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {latin} is not UTF-8 (byte 11)\n"
+    # the cubic search cap is checked before any report line
+    for argv in (["scan", "--cubic-search", "200001"],
+                 ["scan", DATA, "--cubic-search", "200001"]):
+        assert main(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cubic search cap is 200000")
     # wild pair: every isometry procedure is blocked by tameness
     wild = write_records(tmp_path, [
         {"label": "a", "poly": [1, 0, 0, 1, 0, 0, 1]},

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from traceforms import numberfield, polys
-from traceforms.cli import DECISION_PROCEDURES, ingest, oracle_checks
+from traceforms.cli import DECISION_PROCEDURES, EXIT_PARSE, ingest, main, oracle_checks
 from traceforms.errors import (
     BadBasisError,
     ConsistencyError,
@@ -134,15 +134,20 @@ def test_supplied_basis_rejections():
     def supplied(poly, basis):
         return field_from_record(FieldRecord(label="s", poly=poly, basis=basis))
 
+    # each basis is checked against the computed maximal order, whatever
+    # is wrong with it
     half = Fraction(1, 2)
-    with pytest.raises(BadBasisError, match="not closed under multiplication"):
-        supplied((-5, 0, 1), ((1, 0), (0, half)))  # (theta/2)^2 = 5/4
-    with pytest.raises(BadBasisError, match="not maximal at 2"):
-        supplied((8, -40, 0, 1), ((1, 0, 0), (0, 1, 0), (0, 0, half)))
-    with pytest.raises(BadBasisError, match="singular"):
-        supplied((-5, 0, 1), ((1, 0), (2, 0)))
-    with pytest.raises(BadBasisError, match="does not contain 1"):
-        supplied((-5, 0, 1), ((2, 0), (0, 1)))
+    bad = "supplied basis does not span the maximal order"
+    with pytest.raises(BadBasisError, match=bad):
+        supplied((-5, 0, 1), ((1, 0), (0, half)))  # (theta/2)^2 = 5/4: no ring
+    with pytest.raises(BadBasisError, match=bad):
+        supplied((8, -40, 0, 1), ((1, 0, 0), (0, 1, 0), (0, 0, half)))  # not maximal
+    with pytest.raises(BadBasisError, match=bad):
+        supplied((-5, 0, 1), ((1, 0), (2, 0)))  # singular
+    with pytest.raises(BadBasisError, match=bad):
+        supplied((-5, 0, 1), ((2, 0), (0, 1)))  # without 1
+    with pytest.raises(BadBasisError, match="basis must be 2x2"):
+        supplied((-5, 0, 1), ((1, 0), (0, 1), (1, 1)))
 
 
 def test_dedekind_criterion_direct():
@@ -406,18 +411,44 @@ def test_splitting_needs_supplied_at_index_prime():
 
 
 def test_supplied_splitting_validation():
+    # every supplied splitting is checked when the field is built
     with pytest.raises(ConsistencyError):
         make_field("bad", [8, -2, 1, 1], splitting={2: [[2, 1]]})  # sum ef != 3
     # native splitting contradicts supplied data at a non-index prime
-    fld = make_field("c23", [-1, -1, 0, 1], splitting={7: [[1, 1], [1, 1], [1, 1]]})
-    with pytest.raises(ConsistencyError):
-        splitting_data(fld, 7)
+    with pytest.raises(ConsistencyError, match="contradicts native factorization"):
+        make_field("c23", [-1, -1, 0, 1], splitting={7: [[1, 1], [1, 1], [1, 1]]})
     # x^3 + x^2 - 2x + 8: disc -503, index 2, so 2 is unramified, but the
-    # supplied tame splitting claims v_2(disc) = n - f_2 = 2
-    fld = make_field("i2", [8, -2, 1, 1], splitting={2: [[3, 1]]})
-    assert (fld.disc, fld.index) == (-503, 2)
+    # supplied tame splitting is ramified
+    with pytest.raises(ConsistencyError, match="2 does not divide disc"):
+        make_field("i2", [8, -2, 1, 1], splitting={2: [[3, 1]]})
+    # x^3 + 6x - 2: disc -108 = -2^2 3^3, index 3
+    fld = make_field("i3", [-2, 6, 0, 1], splitting={3: [[3, 1]]})
+    assert (fld.disc, fld.index) == (-108, 3)
+    assert splitting_data(fld, 3).pairs == ((3, 1),)
+    with pytest.raises(ConsistencyError, match="3 divides disc but splitting is unramified"):
+        make_field("i3", [-2, 6, 0, 1], splitting={3: [[1, 1], [1, 2]]})
+    # tame with f_3 = 2 claims v_3(disc) = 1
     with pytest.raises(ConsistencyError, match="violates v_p"):
-        splitting_data(fld, 2)
+        make_field("i3", [-2, 6, 0, 1], splitting={3: [[2, 1], [1, 1]]})
+
+
+def test_wild_splitting_at_an_unramified_index_prime_is_rejected_at_build():
+    # e = 2 at p = 2 is wild, so the tame formula does not see it; 2 does
+    # not divide disc -503, so no splitting at 2 may ramify
+    with pytest.raises(ConsistencyError, match="2 does not divide disc but splitting is ramified"):
+        make_field("i2", [8, -2, 1, 1], splitting={2: [[2, 1], [1, 1]]})
+
+
+def test_wrong_splitting_at_a_prime_never_asked_for_exits_2(tmp_path, capsys):
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps({"label": "c23", "poly": [-1, -1, 0, 1],
+                                "splitting": {"7": [[1, 1], [1, 1], [1, 1]]}}) + "\n")
+    for command in ("invariants", "oracle-check"):
+        assert main([command, str(path)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: supplied splitting at 7 contradicts native factorization\n")
 
 
 def test_ramification_profiles():
@@ -619,8 +650,12 @@ def test_profile_errors_are_raised_again_from_the_memo():
     assert info.value.p == 2
     # the memo keeps the class and args, not the exception and its traceback
     assert fld._ramified == (UnsupportedSplittingError, (2,))
-    # a supplied splitting at 23 that contradicts the native one
-    bad = make_field("c23", [-1, -1, 0, 1], splitting={23: [[1, 1], [1, 2]]})
+    # the profile failed at 2, so the lookup at 3 raises the same error
+    assert raised(splitting_data, fld, 3) == first
+    # a supplied splitting at 23 that contradicts the native one; the build
+    # would reject it, so it is put on a built field
+    bad = dataclasses.replace(make_field("c23", [-1, -1, 0, 1]), supplied_splitting={
+        23: numberfield.make_splitting(23, [[1, 1], [1, 2]], 3)})
     first = raised(ramification_profile, bad)
     assert first == (
         ConsistencyError, "supplied splitting at 23 contradicts native factorization"
