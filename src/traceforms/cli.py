@@ -155,8 +155,20 @@ def parse_record(obj, line=None) -> FieldRecord:
     )
 
 
+def _unique_keys(pairs):
+    """`object_pairs_hook` for json.loads: an object with a repeated key
+    raises KeyError(key) instead of keeping the last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise KeyError(key)
+        obj[key] = value
+    return obj
+
+
 def ingest(path) -> list[FieldRecord]:
-    """Parse a line-delimited record file; duplicate labels are rejected."""
+    """Parse a line-delimited record file; duplicate labels and a key
+    repeated within any JSON object are rejected."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
@@ -171,9 +183,11 @@ def ingest(path) -> list[FieldRecord]:
         if not raw:
             continue
         try:
-            obj = json.loads(raw)
+            obj = json.loads(raw, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON ({exc.msg})", lineno)
+        except KeyError as exc:
+            raise ParseError(f"repeated key {exc.args[0]!r}", lineno)
         rec = parse_record(obj, lineno)
         if rec.label in seen:
             raise DuplicateLabelError(f"duplicate label {rec.label!r}", lineno)

@@ -38,12 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .errors import ConsistencyError, LimitError
+from .errors import ConsistencyError, LimitError, RepeatedRootError
 from .padic import is_prime
 from .polys import (
+    discriminant,
     factor_monic_int,
     has_rational_root,
-    is_squarefree_q,
     pdeg,
     resultant_in_t,
 )
@@ -247,13 +247,17 @@ def _monic_image(form, disc: int):
 
 def cubics_isomorphic(f, g) -> bool:
     """Exact isomorphism test for the cubic fields of two irreducible monic
-    cubics, via factorization of Res_x(f(x), g(t - s*x))."""
+    cubics, via factorization of r = Res_x(f(x), g(t - s*x)), built from
+    power sums, at the first shift s where r is squarefree: where its
+    discriminant, a Hankel determinant, is nonzero."""
     f, g = list(f), list(g)
     if f == g:
         return True
     for s in range(1, MAX_SHIFT + 1):
         r = resultant_in_t(f, g, shift=s)
-        if not is_squarefree_q(r):
+        try:
+            discriminant(r)
+        except RepeatedRootError:
             continue
         return any(pdeg(h) == 3 for h, _ in factor_monic_int(r))
     raise LimitError("no squarefree shift found for the isomorphism test")

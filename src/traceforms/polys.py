@@ -1,9 +1,11 @@
 """Exact univariate polynomial arithmetic.
 
 Polynomials are coefficient lists with the constant term first, so
-``[b, a, 1]`` is x^2 + a x + b.  Integer polynomials stay integer; anything
-that needs division goes through ``fractions.Fraction``.  Includes Newton
-power sums and the discriminant read off them, Sturm real-root counting,
+``[b, a, 1]`` is x^2 + a x + b.  Integer polynomials stay integer; division
+over the rationals (gcds, Sturm chains) goes through ``fractions.Fraction``.
+Includes Newton power sums and what is read off them: the discriminant (a
+Hankel determinant) and the compositum polynomial `resultant_in_t` (Newton's
+identities with exact integer division).  Also Sturm real-root counting,
 factorization mod p, Zassenhaus factorization over the integers (monic
 case) and a rational-root test, which is all the field machinery needs.
 """
@@ -12,9 +14,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 
-from .errors import RepeatedRootError
+from .errors import ConsistencyError, RepeatedRootError
 from .linalg import det_int
 from .padic import is_prime
 
@@ -97,31 +99,6 @@ def is_squarefree_q(f) -> bool:
     return pdeg(pgcd_q(f, pderiv(f))) <= 0
 
 
-def sylvester_matrix(f, g):
-    m, n = pdeg(f), pdeg(g)
-    size = m + n
-    rows = []
-    fr = list(reversed(f))
-    gr = list(reversed(g))
-    for i in range(n):
-        rows.append([0] * i + fr + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + gr + [0] * (size - n - 1 - i))
-    return rows
-
-
-def resultant(f, g) -> int:
-    """Resultant of two integer polynomials (via Sylvester + Bareiss)."""
-    f, g = pnormalize(f), pnormalize(g)
-    if not f or not g:
-        return 0
-    if pdeg(f) == 0:
-        return f[0] ** pdeg(g)
-    if pdeg(g) == 0:
-        return g[0] ** pdeg(f)
-    return det_int(sylvester_matrix(f, g))
-
-
 def power_sums(poly, count):
     """Newton power sums p_k = sum of roots^k for k < count (monic poly)."""
     n = pdeg(poly)
@@ -136,6 +113,15 @@ def power_sums(poly, count):
     return sums
 
 
+def _monic_int(f, caller):
+    """f without trailing zeros; ValueError unless it is monic with
+    integer coefficients."""
+    f = pnormalize(f)
+    if not f or f[-1] != 1 or any(not isinstance(c, int) for c in f):
+        raise ValueError(f"{caller} requires a monic integer polynomial")
+    return f
+
+
 def discriminant(f) -> int:
     """Discriminant of a monic integer polynomial of degree >= 2; other
     input raises ValueError.
@@ -145,9 +131,7 @@ def discriminant(f) -> int:
     (p_(i+j)): a Bareiss determinant of size n, not 2n - 1 as for
     Res(f, f').
     """
-    f = pnormalize(f)
-    if not f or f[-1] != 1 or any(not isinstance(c, int) for c in f):
-        raise ValueError("discriminant requires a monic integer polynomial")
+    f = _monic_int(f, "discriminant")
     n = pdeg(f)
     if n < 2:
         raise ValueError("degree must be at least 2")
@@ -604,31 +588,24 @@ def is_irreducible_int(f) -> bool:
 
 
 def resultant_in_t(f, g, shift: int = 1):
-    """Res_x(f(x), g(t - shift*x)) as an integer polynomial in t.
+    """Res_x(f(x), g(t - shift*x)) for monic integer f and g: the monic
+    integer polynomial in t whose roots are shift*a + b over the roots a
+    of f and b of g.  Other input raises ValueError.
 
-    Used by the field isomorphism test.  Computed by evaluation at enough
-    integer points followed by exact interpolation.
+    Used by the field isomorphism test.  Its power sums are
+    P_k = sum_i C(k, i) shift^i p_i(f) p_(k-i)(g), and Newton's identities
+    k c_(N-k) = -sum_(i=1..k) c_(N-k+i) P_i give its coefficients with
+    exact integer division.
     """
+    f, g = _monic_int(f, "resultant_in_t"), _monic_int(g, "resultant_in_t")
     deg = pdeg(f) * pdeg(g)
-    points = []
-    values = []
-    for t in range(deg + 1):
-        # g(t - shift*x) as a polynomial in x
-        gt = []
-        for i, c in enumerate(g):
-            # c * (t - shift*x)^i
-            term = [c]
-            for _ in range(i):
-                term = psub(pscale(term, t), [0] + pscale(term, shift))
-            gt = padd(gt, term)
-        points.append(t)
-        values.append(resultant(f, gt))
-    # Newton interpolation
-    coeffs = [Fraction(v) for v in values]
-    for j in range(1, deg + 1):
-        for i in range(deg, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (points[i] - points[i - j])
-    poly = []
-    for i in reversed(range(deg + 1)):
-        poly = padd(pmul(poly, [-points[i], 1]), [coeffs[i]])
-    return [int(c) for c in poly]
+    pf, pg = power_sums(f, deg + 1), power_sums(g, deg + 1)
+    sums = [sum(comb(k, i) * shift**i * pf[i] * pg[k - i] for i in range(k + 1))
+            for k in range(deg + 1)]
+    top = [1]  # c_N, c_(N-1), ...: coefficients from the leading one down
+    for k in range(1, deg + 1):
+        c, rem = divmod(-sum(top[k - i] * sums[i] for i in range(1, k + 1)), k)
+        if rem:
+            raise ConsistencyError(f"Newton's identity at k = {k} leaves a remainder")
+        top.append(c)
+    return top[::-1]

@@ -100,6 +100,25 @@ def test_ingest_errors(tmp_path):
     assert "line 2" in str(err.value)
 
 
+@pytest.mark.parametrize("line, key", [
+    ('{"label": "a", "poly": [1, 0, 1], "poly": [-1, -1, 0, 1]}', "poly"),
+    ('{"label": "c", "poly": [8, -2, 1, 1],'
+     ' "splitting": {"2": [[2,1],[1,1]], "2": [[1,1],[1,1],[1,1]]}}', "2"),
+], ids=["poly", "splitting"])
+def test_repeated_json_key_exits_2(tmp_path, capsys, line, key):
+    # json.loads alone keeps the last value of a repeated key, so both
+    # records ran to exit 0: the first as x^3 - x - 1, the second with
+    # its wrong splitting at 2 dropped
+    path = tmp_path / "repeated.jsonl"
+    path.write_text('{"label": "z", "poly": [-1, -1, 0, 1]}\n' + line + "\n")
+    with pytest.raises(ParseError, match=f"line 2: repeated key '{key}'"):
+        ingest(str(path))
+    assert main(["invariants", str(path)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line 2: repeated key '{key}'\n"
+
+
 def test_invariants_report(tmp_path):
     path = write_records(tmp_path, [
         {"label": "c23", "poly": [-1, -1, 0, 1]},

@@ -1,11 +1,13 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 
 from _optimized import run_optimized
+from _sylvester import resultant, resultant_in_t_by_interpolation
 from traceforms.errors import RepeatedRootError
 from traceforms.polys import (
     ROOT_DIVISOR_CAP,
@@ -23,7 +25,6 @@ from traceforms.polys import (
     pderiv,
     pmul,
     pnormalize,
-    resultant,
     resultant_in_t,
     sturm_real_roots,
 )
@@ -100,11 +101,15 @@ for f in ([2, 0, -1], [1, 0, 2]):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_resultant_multiplicative():
+def test_resultant_in_t_multiplicative():
     f = [2, 0, 1]  # x^2 + 2
     g = [-1, 1]  # x - 1
     h = [3, 1, 1]  # x^2 + x + 3
-    assert resultant(pmul(f, g), h) == resultant(f, h) * resultant(g, h)
+    for s in (1, 2, -3):
+        assert resultant_in_t(pmul(f, g), h, s) == pmul(resultant_in_t(f, h, s),
+                                                         resultant_in_t(g, h, s))
+        assert resultant_in_t(h, pmul(f, g), s) == pmul(resultant_in_t(h, f, s),
+                                                         resultant_in_t(h, g, s))
 
 
 def test_sturm_counts():
@@ -298,3 +303,83 @@ def test_resultant_in_t():
     # i.e. equals (t^2 - 5)^2 - 24 t^2 = t^4 - 10 t^2 + 1
     r = resultant_in_t([-2, 0, 1], [-3, 0, 1])
     assert r == [1, 0, -10, 0, 1]
+
+
+def seeded_compositum_cases():
+    """(f, g, shift) for 200 monic pairs of degree 2-5 against 2-4 with
+    shifts 1-3.  Every sixth f has a repeated root, and every fourth g is
+    f itself, which repeats the roots a + b of r at shift 1, so both
+    squarefree decisions occur."""
+    rng = random.Random(21)
+    cases = []
+    for trial in range(200):
+        m, n = rng.randint(2, 5), rng.randint(2, 4)
+        f = [rng.randint(-9, 9) for _ in range(m)] + [1]
+        if trial % 6 == 0:
+            r = rng.randint(-3, 3)
+            f = pmul(f[:-2] + [1], [r * r, -2 * r, 1])
+        g = f if trial % 4 == 0 else [rng.randint(-9, 9) for _ in range(n)] + [1]
+        cases.append((f, g, rng.randint(1, 3)))
+    return cases
+
+
+def hankel_squarefree(r) -> bool:
+    try:
+        discriminant(r)
+    except RepeatedRootError:
+        return False
+    return True
+
+
+def test_resultant_in_t_matches_the_sylvester_reference():
+    decisions = Counter()
+    for f, g, s in seeded_compositum_cases():
+        r = resultant_in_t(f, g, s)
+        assert r == resultant_in_t_by_interpolation(f, g, s), (f, g, s)
+        assert len(r) == pdeg(f) * pdeg(g) + 1 and r[-1] == 1
+        squarefree = hankel_squarefree(r)
+        assert squarefree == is_squarefree_q(r), (f, g, s)
+        decisions[squarefree] += 1
+    assert decisions == Counter({True: 154, False: 46})
+
+
+def test_resultant_in_t_builds_no_fraction(monkeypatch):
+    built = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    assert is_squarefree_q([1, 2, 1]) is False  # the count sees Fraction use
+    assert built
+    built.clear()
+    for f, g, s in seeded_compositum_cases():
+        resultant_in_t(f, g, s)
+    assert built == []
+
+
+def test_resultant_in_t_rejects_non_monic_or_non_integer_input():
+    for f, g in (([2, 0, -1], [-3, 0, 1]), ([-2, 0, 1], [1, 0, 2]),
+                 ([Fraction(1, 2), 0, 1], [-3, 0, 1]), ([-2, 0, 1.0], [-3, 0, 1]),
+                 ([], [-3, 0, 1])):
+        with pytest.raises(ValueError, match="monic integer"):
+            resultant_in_t(f, g)
+    assert resultant_in_t([-2, 0, 1, 0], [-3, 0, 1]) == [1, 0, -10, 0, 1]
+
+
+def test_resultant_in_t_checks_newton_division_under_python_O():
+    # power sums that are not those of an integer polynomial leave a
+    # remainder in Newton's identities, which must raise, not be dropped
+    proc = run_optimized("""
+from traceforms import polys
+from traceforms.errors import ConsistencyError
+polys.power_sums = lambda poly, count: ([len(poly) - 1, 1] + [0] * count)[:count]
+try:
+    print(polys.resultant_in_t([0, 0, 1], [0, 1]))
+except ConsistencyError:
+    raise SystemExit(0)
+raise SystemExit(1)
+""")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
