@@ -1,20 +1,20 @@
 """Exact univariate polynomial arithmetic.
 
 Polynomials are coefficient lists with the constant term first, so
-``[b, a, 1]`` is x^2 + a x + b.  Integer polynomials stay integer; division
-over the rationals (gcds, Sturm chains) goes through ``fractions.Fraction``.
-Includes Newton power sums and what is read off them: the discriminant (a
-Hankel determinant) and the compositum polynomial `resultant_in_t` (Newton's
-identities with exact integer division).  Also Sturm real-root counting,
-factorization mod p, Zassenhaus factorization over the integers (monic
-case) and a rational-root test, which is all the field machinery needs.
+``[b, a, 1]`` is x^2 + a x + b.  Coefficients are integers: division is
+pseudo-division, and gcds and Sturm chains run on primitive
+pseudo-remainders in Z[x].  Includes Newton power sums and what is read off
+them: the discriminant (a Hankel determinant) and the compositum polynomial
+`resultant_in_t` (Newton's identities with exact integer division).  Also
+Sturm real-root counting, factorization mod p, Zassenhaus factorization
+over the integers (monic case) and a rational-root test, which is all the
+field machinery needs.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 
 from .errors import ConsistencyError, RepeatedRootError
 from .linalg import det_int
@@ -65,38 +65,48 @@ def pderiv(f):
     return pnormalize([i * c for i, c in enumerate(f)][1:])
 
 
+def _int_poly(f, caller, monic=False):
+    """f without trailing zeros; ValueError unless its coefficients are
+    integers and, if `monic`, the leading one is 1."""
+    f = pnormalize(f)
+    if any(not isinstance(c, int) for c in f) or monic and f[-1:] != [1]:
+        what = "a monic integer polynomial" if monic else "integer coefficients"
+        raise ValueError(f"{caller} requires {what}")
+    return f
+
+
 def pdivmod(f, g):
-    """Quotient and remainder over the rationals (exact)."""
-    g = pnormalize(g)
+    """Pseudo-division in Z[x]: (q, r) with lead(g)^k f = q g + r, deg r <
+    deg g and k = max(0, deg f - deg g + 1); exact division for monic g."""
+    f, g = _int_poly(f, "pdivmod"), _int_poly(g, "pdivmod")
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    r = [Fraction(c) for c in f]
-    r = pnormalize(r)
-    q = [Fraction(0)] * max(0, len(r) - len(g) + 1)
-    lead = Fraction(g[-1])
-    while r and len(r) >= len(g):
-        c = r[-1] / lead
-        d = len(r) - len(g)
+    lead, n = g[-1], pdeg(g)
+    q, r = [0] * max(0, len(f) - n), f
+    for d in reversed(range(len(q))):
+        c = r.pop()
+        if lead != 1:
+            q, r = [lead * x for x in q], [lead * x for x in r]
         q[d] = c
-        for i, b in enumerate(g):
+        for i, b in enumerate(g[:-1]):
             r[i + d] -= c * b
-        r = pnormalize(r)
-    return pnormalize(q), r
+    return pnormalize(q), pnormalize(r)
 
 
-def pgcd_q(f, g):
-    """Monic gcd over the rationals."""
-    a, b = [Fraction(c) for c in pnormalize(f)], [Fraction(c) for c in pnormalize(g)]
+def _primitive(f):
+    """f divided by the (positive) gcd of its coefficients."""
+    c = gcd(*f)
+    return [x // c for x in f] if c > 1 else f
+
+
+def _primitive_gcd(f, g):
+    """gcd in Z[x] of the primitive parts of f and g, by primitive
+    pseudo-remainders, with a positive leading coefficient (so monic for
+    monic f, by Gauss's lemma)."""
+    a, b = _primitive(f), _primitive(g)
     while b:
-        a, b = b, pdivmod(a, b)[1]
-    if not a:
-        return []
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-def is_squarefree_q(f) -> bool:
-    return pdeg(pgcd_q(f, pderiv(f))) <= 0
+        a, b = b, _primitive(pdivmod(a, b)[1])
+    return a if a[-1] > 0 else [-c for c in a]
 
 
 def power_sums(poly, count):
@@ -113,15 +123,6 @@ def power_sums(poly, count):
     return sums
 
 
-def _monic_int(f, caller):
-    """f without trailing zeros; ValueError unless it is monic with
-    integer coefficients."""
-    f = pnormalize(f)
-    if not f or f[-1] != 1 or any(not isinstance(c, int) for c in f):
-        raise ValueError(f"{caller} requires a monic integer polynomial")
-    return f
-
-
 def discriminant(f) -> int:
     """Discriminant of a monic integer polynomial of degree >= 2; other
     input raises ValueError.
@@ -131,7 +132,7 @@ def discriminant(f) -> int:
     (p_(i+j)): a Bareiss determinant of size n, not 2n - 1 as for
     Res(f, f').
     """
-    f = _monic_int(f, "discriminant")
+    f = _int_poly(f, "discriminant", monic=True)
     n = pdeg(f)
     if n < 2:
         raise ValueError("degree must be at least 2")
@@ -148,16 +149,22 @@ def _sign_variations(values) -> int:
 
 
 def sturm_real_roots(f) -> int:
-    """Number of distinct real roots of a squarefree rational polynomial."""
-    f = [Fraction(c) for c in pnormalize(f)]
+    """Number of distinct real roots of a squarefree integer polynomial.
+    A pseudo-remainder is lead(b)^(deg a - deg b + 1) times the rational
+    one, so signed and made primitive it is a positive multiple of the
+    rational Sturm remainder, and the sign sequences are the same."""
+    f = _int_poly(f, "sturm_real_roots")
     if pdeg(f) <= 0:
         return 0
-    chain = [f, [Fraction(c) for c in pderiv(f)]]
+    chain = [f, _primitive(pderiv(f))]
     while pdeg(chain[-1]) > 0:
-        rem = pdivmod(chain[-2], chain[-1])[1]
+        a, b = chain[-2], chain[-1]
+        rem = pdivmod(a, b)[1]
         if not rem:
             raise RepeatedRootError("Sturm chain requires a squarefree polynomial")
-        chain.append([-c for c in rem])
+        if b[-1] > 0 or (pdeg(a) - pdeg(b)) % 2:
+            rem = [-c for c in rem]
+        chain.append(_primitive(rem))
     # signs at -infinity and +infinity from leading terms
     at_minus = [p[-1] * (-1) ** pdeg(p) for p in chain]
     at_plus = [p[-1] for p in chain]
@@ -472,8 +479,8 @@ def _factor_squarefree_monic_int(f):
             q, r = pdivmod(current, candidate)
             if r:
                 continue
-            found.append([int(c) for c in candidate])
-            current = [int(c) for c in q]
+            found.append(candidate)
+            current = q
             remaining = [i for i in remaining if i not in combo]
             hit = True
             break
@@ -489,11 +496,9 @@ def factor_monic_int(f):
 
     Returns a sorted list of (factor, multiplicity).
     """
-    f = pnormalize(f)
+    f = _int_poly(f, "factor_monic_int", monic=True)
     if pdeg(f) < 1:
         return []
-    if f[-1] != 1:
-        raise ValueError("factor_monic_int requires a monic polynomial")
     out: dict[tuple, int] = {}
     # strip powers of x
     k = 0
@@ -504,9 +509,7 @@ def factor_monic_int(f):
         out[(0, 1)] = k
     current = f
     while pdeg(current) > 0:
-        sqfree_gcd = pgcd_q(current, pderiv(current))
-        part = pdivmod(current, sqfree_gcd)[0]
-        part = [int(c) for c in part]
+        part = pdivmod(current, _primitive_gcd(current, pderiv(current)))[0]
         for irr in _factor_squarefree_monic_int(part):
             key = tuple(irr)
             mult = 0
@@ -514,7 +517,7 @@ def factor_monic_int(f):
                 q, r = pdivmod(current, irr)
                 if r:
                     break
-                current = [int(c) for c in q]
+                current = q
                 mult += 1
             out[key] = out.get(key, 0) + mult
     return sorted(([list(g), m] for g, m in out.items()), key=lambda t: (pdeg(t[0]), t[0]))
@@ -570,19 +573,15 @@ def is_irreducible_int(f) -> bool:
     the rational-root test is exact.  From degree 4 on, the polynomial
     must be squarefree and Zassenhaus must find a single factor.
     """
-    f = pnormalize(f)
+    f = _int_poly(f, "is_irreducible_int", monic=True)
     n = pdeg(f)
     if n < 1:
         return False
-    if f[-1] != 1:
-        raise ValueError("is_irreducible_int requires a monic polynomial")
     if n == 1:
         return True
     if n <= 3:
         return not has_rational_root(f)
-    if f[0] == 0:
-        return False
-    if not is_squarefree_q(f):
+    if f[0] == 0 or pdeg(_primitive_gcd(f, pderiv(f))) > 0:
         return False
     return len(_factor_squarefree_monic_int(f)) == 1
 
@@ -597,7 +596,7 @@ def resultant_in_t(f, g, shift: int = 1):
     k c_(N-k) = -sum_(i=1..k) c_(N-k+i) P_i give its coefficients with
     exact integer division.
     """
-    f, g = _monic_int(f, "resultant_in_t"), _monic_int(g, "resultant_in_t")
+    f, g = (_int_poly(h, "resultant_in_t", monic=True) for h in (f, g))
     deg = pdeg(f) * pdeg(g)
     pf, pg = power_sums(f, deg + 1), power_sums(g, deg + 1)
     sums = [sum(comb(k, i) * shift**i * pf[i] * pg[k - i] for i in range(k + 1))

@@ -7,24 +7,29 @@ from math import isqrt
 import pytest
 
 from _optimized import run_optimized
+from _rational import is_squarefree_q, pdivmod_q, pgcd_q, sturm_chain_q, sturm_real_roots_q
 from _sylvester import resultant, resultant_in_t_by_interpolation
 from traceforms.errors import RepeatedRootError
+from traceforms.numberfield import signature_of_field
 from traceforms.polys import (
     ROOT_DIVISOR_CAP,
     _factor_squarefree_monic_int,
+    _primitive_gcd,
     discriminant,
     factor_mod_p,
     factor_monic_int,
     has_rational_root,
     is_irreducible_int,
-    is_squarefree_q,
     mp_mul,
     mp_normalize,
     mp_radical,
+    padd,
     pdeg,
     pderiv,
+    pdivmod,
     pmul,
     pnormalize,
+    pscale,
     resultant_in_t,
     sturm_real_roots,
 )
@@ -132,6 +137,59 @@ def test_sturm_against_random_products():
         assert sturm_real_roots(f) == len(roots)
 
 
+def seeded_squarefree_polys(count):
+    """count squarefree integer polynomials of degree 1-9, leading
+    coefficients in {-7, -3, -2, -1, 1, 2, 5}, every third one sparse."""
+    rng = random.Random(31)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 9)
+        if len(out) % 3 == 0:
+            f = [rng.choice([0, 0, 0, rng.randint(-9, 9)]) for _ in range(n)]
+        else:
+            f = [rng.randint(-9, 9) for _ in range(n)]
+        f.append(rng.choice([-7, -3, -2, -1, 1, 2, 5]))
+        if is_squarefree_q(f):
+            out.append(f)
+    return out
+
+
+def test_sturm_matches_the_rational_chain():
+    cases = seeded_squarefree_polys(2000)
+    skips = 0  # chains whose remainders drop more than one degree
+    for f in cases:
+        assert sturm_real_roots(f) == sturm_real_roots_q(f), f
+        degrees = [pdeg(p) for p in sturm_chain_q(f)]
+        skips += any(a - b > 1 for a, b in zip(degrees, degrees[1:]))
+    assert {f[-1] for f in cases} == {-7, -3, -2, -1, 1, 2, 5}
+    assert {pdeg(f) for f in cases} == set(range(1, 10))
+    assert skips >= 300, skips
+
+
+def test_pdivmod_is_pseudo_division():
+    rng = random.Random(37)
+    for _ in range(300):
+        g = [rng.randint(-5, 5) for _ in range(rng.randint(0, 4))]
+        g.append(rng.choice([-3, -1, 1, 2, 4]))
+        f = [rng.randint(-9, 9) for _ in range(rng.randint(0, 9))]
+        q, r = pdivmod(f, g)
+        k = max(0, pdeg(pnormalize(f)) - pdeg(g) + 1)
+        assert padd(pmul(q, g), r) == pscale(pnormalize(f), g[-1] ** k)
+        assert pdeg(r) < pdeg(g)
+        if g[-1] == 1:  # exact division, equal to the rational one
+            assert [q, r] == [list(map(int, h)) for h in pdivmod_q(f, g)]
+
+
+def test_primitive_gcd_matches_the_rational_gcd():
+    rng = random.Random(41)
+    for _ in range(300):
+        f = [1]
+        for _ in range(rng.randint(1, 4)):
+            g = [rng.randint(-4, 4) for _ in range(rng.randint(1, 2))] + [1]
+            f = pmul(f, pmul(g, g) if rng.random() < 0.4 else g)
+        assert _primitive_gcd(f, pderiv(f)) == pgcd_q(f, pderiv(f)), f
+
+
 def test_factor_mod_p_roundtrip():
     rng = random.Random(17)
     for _ in range(150):
@@ -232,7 +290,7 @@ def test_irreducibility_by_roots_matches_zassenhaus_in_degree_2_and_3():
     for n in (2, 3):
         for low in itertools.product(range(-6, 7), repeat=n):
             f = list(low) + [1]
-            reference = is_squarefree_q(f) and len(_factor_squarefree_monic_int(f)) == 1
+            reference = hankel_squarefree(f) and len(_factor_squarefree_monic_int(f)) == 1
             assert is_irreducible_int(f) == reference, f
             checked += 1
     assert checked == 13**2 + 13**3
@@ -262,13 +320,18 @@ def test_has_rational_root_past_the_divisor_cap(poly, root):
 
 def test_factor_monic_int_roundtrip():
     rng = random.Random(19)
-    for _ in range(60):
+    for trial in range(90):
         nfac = rng.randint(1, 3)
         f = [1]
         for _ in range(nfac):
             deg = rng.randint(1, 3)
             g = [rng.randint(-6, 6) for _ in range(deg)] + [1]
             f = pmul(f, g)
+        if trial % 3 == 1:  # a repeated factor
+            g = [rng.randint(-6, 6) for _ in range(rng.randint(1, 2))] + [1]
+            f = pmul(f, pmul(g, g))
+        if trial % 3 == 2:  # a power of x
+            f = [0] * rng.randint(1, 3) + f
         fac = factor_monic_int(f)
         prod = [1]
         for g, m in fac:
@@ -283,6 +346,46 @@ def test_factor_monic_int_known():
     assert fac == [[[-3, 0, 1], 1], [[-2, 0, 1], 1]]
     fac2 = factor_monic_int([0, 0, 1, 1])  # x^2 (x+1)
     assert fac2 == [[[0, 1], 2], [[1, 1], 1]]
+    f = [0, 0, 0, 1]  # x^3 (x - 1)^2 (x^2 + 1)^3
+    for g in ([-1, 1], [-1, 1], [1, 0, 1], [1, 0, 1], [1, 0, 1]):
+        f = pmul(f, g)
+    assert factor_monic_int(f) == [[[-1, 1], 2], [[0, 1], 3], [[1, 0, 1], 3]]
+
+
+NON_INTEGER_CALLS = [
+    (factor_monic_int, ([Fraction(1, 2), 0, 1],)),
+    (factor_monic_int, ([-2, 0, Fraction(1)],)),
+    (is_irreducible_int, ([Fraction(1, 2), 0, 1],)),
+    (is_irreducible_int, ([-2.0, 0, 1],)),
+    (sturm_real_roots, ([-0.5, 0, 1],)),
+    (sturm_real_roots, ([Fraction(-1, 2), 0, 1],)),
+    (pdivmod, ([1, 0, 1], [Fraction(1, 2), 1])),
+    (pdivmod, ([1.0, 0, 1], [1, 1])),
+]
+
+
+@pytest.mark.parametrize("func, args", NON_INTEGER_CALLS)
+def test_non_integer_coefficients_are_rejected(func, args):
+    # factor_monic_int([1/2, 0, 1]) used to loop for ever, is_irreducible_int
+    # raised TypeError, and sturm_real_roots([-0.5, 0, 1]) answered 2
+    with pytest.raises(ValueError, match="integer"):
+        func(*args)
+
+
+def test_integer_checks_survive_python_O():
+    proc = run_optimized("""
+from fractions import Fraction
+from traceforms.polys import factor_monic_int, is_irreducible_int, pdivmod, sturm_real_roots
+calls = [(factor_monic_int, [Fraction(1, 2), 0, 1]), (is_irreducible_int, [-2.0, 0, 1]),
+         (sturm_real_roots, [-0.5, 0, 1]), (pdivmod, [1.0, 0, 1], [1, 1])]
+for func, *args in calls:
+    try:
+        print(func(*args))
+    except ValueError:
+        continue
+    raise SystemExit(1)
+""")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_factor_monic_int_monic_check_survives_python_O():
@@ -338,7 +441,7 @@ def test_resultant_in_t_matches_the_sylvester_reference():
         assert r == resultant_in_t_by_interpolation(f, g, s), (f, g, s)
         assert len(r) == pdeg(f) * pdeg(g) + 1 and r[-1] == 1
         squarefree = hankel_squarefree(r)
-        assert squarefree == is_squarefree_q(r), (f, g, s)
+        assert squarefree == is_squarefree_q(r), (f, g, s)  # rational gcd
         decisions[squarefree] += 1
     assert decisions == Counter({True: 154, False: 46})
 
@@ -352,11 +455,18 @@ def test_resultant_in_t_builds_no_fraction(monkeypatch):
         return original(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
-    assert is_squarefree_q([1, 2, 1]) is False  # the count sees Fraction use
+    assert Fraction(1, 2) + 1 == Fraction(3, 2)  # the count sees a build
     assert built
     built.clear()
     for f, g, s in seeded_compositum_cases():
-        resultant_in_t(f, g, s)
+        r = resultant_in_t(f, g, s)
+        # the rest of polys on f, and on r where it is small
+        for h in (f, r) if pdeg(r) <= 8 else (f,):
+            factor_monic_int(h)
+            is_irreducible_int(h)
+            if hankel_squarefree(h):
+                sturm_real_roots(h)
+                signature_of_field(h)
     assert built == []
 
 
