@@ -5,18 +5,21 @@ galois?} with polynomial coefficients constant-term-first.  Output is
 line-delimited JSON report objects on stdout; errors go to stderr.
 
 Exit codes: 0 success, 1 usage, 2 parse/validation, 3 tameness or
-unsupported splitting, 4 no applicable criterion, 5 invariant failure.
+unsupported splitting, 4 no applicable criterion, 5 invariant failure,
+including a verdict or witness that contradicts the genus oracle.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
 
 from .cubicsearch import enumerate_cubic_fields, equal_disc_groups
 from .decide import (
+    Verdict,
     cubic_local_form_at_3,
     cubic_same_spinor_genus,
     galois_same_spinor_genus,
@@ -242,37 +245,21 @@ def cmd_invariants(records, out) -> int:
     return EXIT_OK
 
 
-def _run_procedures(fa, fb, out):
-    verdicts = 0
-    reasons = []
-    for name, proc in DECISION_PROCEDURES:
-        try:
-            verdict = proc(fa, fb)
-        except (HypothesisError, UnsupportedSplittingError) as exc:
-            reasons.append(exc)
-            _emit(
-                {
-                    "type": "skip",
-                    "a": fa.label,
-                    "b": fb.label,
-                    "procedure": name,
-                    "reason": str(exc),
-                },
-                out,
-            )
-            continue
-        verdicts += 1
-        report = {"type": "verdict", "a": fa.label, "b": fb.label,
-                  "procedure": name}
-        report.update(verdict.as_dict())
+def _emit_results(fa, fb, results, out):
+    """One verdict or skip line per procedure result of `decide_pair`."""
+    for name, result in results:
+        report = {"type": "verdict" if isinstance(result, Verdict) else "skip",
+                  "a": fa.label, "b": fb.label, "procedure": name}
+        report.update(result.as_dict() if isinstance(result, Verdict)
+                      else {"reason": str(result)})
         _emit(report, out)
-    return verdicts, reasons
 
 
-def _skip_exit_code(reasons) -> int:
-    if any(isinstance(r, (TamenessError, UnsupportedSplittingError)) for r in reasons):
-        return EXIT_TAME
-    return EXIT_NO_CRITERION
+def _report_failed(fa, fb, failed) -> int:
+    """Write one stderr line per failed pair check; return their count."""
+    for name in failed:
+        sys.stderr.write(f"check failed: {name} on {fa.label} and {fb.label}\n")
+    return len(failed)
 
 
 def _check_witness_bound(bound):
@@ -290,38 +277,24 @@ def cmd_compare(records, label_a, label_b, oracle=False, witness_bound=None,
             raise ParseError(f"unknown label {label!r}")
     fa = field_from_record(by_label[label_a])
     fb = field_from_record(by_label[label_b])
-    verdicts, reasons = _run_procedures(fa, fb, out)
-    if oracle or witness_bound is not None:
-        ga, gb = trace_gram(fa), trace_gram(fb)
-        if oracle:
-            _emit(
-                {
-                    "type": "oracle",
-                    "a": fa.label,
-                    "b": fb.label,
-                    "genus_equal": genus_equal(ga, gb),
-                    "genus_symbols": [
-                        genus_symbol(ga).as_dict(),
-                        genus_symbol(gb).as_dict(),
-                    ],
-                },
-                out,
-            )
-        if witness_bound is not None:
-            witness = isometry_witness_search(ga, gb, witness_bound)
-            _emit(
-                {
-                    "type": "witness",
-                    "a": fa.label,
-                    "b": fb.label,
-                    "bound": witness_bound,
-                    "matrix": witness,
-                },
-                out,
-            )
-    if verdicts == 0:
-        return _skip_exit_code(reasons)
-    return EXIT_OK
+    ga, gb = trace_gram(fa), trace_gram(fb)
+    witness = (None if witness_bound is None
+               else isometry_witness_search(ga, gb, witness_bound))
+    results, genus, failed = decide_pair(fa, fb, ga, gb, witness=witness)
+    _emit_results(fa, fb, results, out)
+    if oracle:
+        _emit({"type": "oracle", "a": fa.label, "b": fb.label, "genus_equal": genus,
+               "genus_symbols": [genus_symbol(ga).as_dict(), genus_symbol(gb).as_dict()]},
+              out)
+    if witness_bound is not None:
+        _emit({"type": "witness", "a": fa.label, "b": fb.label,
+               "bound": witness_bound, "matrix": witness}, out)
+    if _report_failed(fa, fb, failed):
+        return EXIT_INVARIANT
+    if any(isinstance(r, Verdict) for _, r in results):
+        return EXIT_OK
+    tame = any(isinstance(r, (TamenessError, UnsupportedSplittingError)) for _, r in results)
+    return EXIT_TAME if tame else EXIT_NO_CRITERION
 
 
 def _cubic_label(poly):
@@ -330,6 +303,8 @@ def _cubic_label(poly):
 
 
 def _cubic_group_reports(group, witness_bound, out):
+    """Write one cubic-pair line per pair of the group; return the number
+    of failed pair checks."""
     fields = [
         field_from_record(FieldRecord(label=_cubic_label(c.poly), poly=c.poly))
         for c in group
@@ -338,27 +313,24 @@ def _cubic_group_reports(group, witness_bound, out):
     witnesses = {}
     if witness_bound is not None and group[0].disc < 0:
         witnesses = pairwise_witnesses(grams, witness_bound)
-    count = 0
-    for i in range(len(group)):
-        for j in range(i + 1, len(group)):
-            c1, c2 = group[i], group[j]
-            report = {
-                "type": "cubic-pair",
-                "disc": c1.disc,
-                "polys": [list(c1.poly), list(c2.poly)],
-            }
-            if c1.disc < 0:
-                report["isometric"] = isometric_trace_forms(
-                    fields[i], fields[j]
-                ).answer
-            report["same_spinor_genus"] = cubic_same_spinor_genus(
-                fields[i], fields[j]
-            ).answer
-            report["genus_equal"] = genus_equal(grams[i], grams[j])
-            report["witness"] = witnesses.get((i, j))
-            _emit(report, out)
-            count += 1
-    return count
+    # the procedure names are the report keys; isometric_trace_forms
+    # skips totally real cubics, whose lines carry no "isometric" key
+    procedures = (("isometric", isometric_trace_forms),
+                  ("same_spinor_genus", cubic_same_spinor_genus))
+    failures = 0
+    for i, j in itertools.combinations(range(len(group)), 2):
+        witness = witnesses.get((i, j))
+        results, genus, failed = decide_pair(
+            fields[i], fields[j], grams[i], grams[j], procedures, witness)
+        report = {"type": "cubic-pair", "disc": group[i].disc,
+                  "polys": [list(group[i].poly), list(group[j].poly)]}
+        report.update((name, result.answer) for name, result in results
+                      if isinstance(result, Verdict))
+        report["genus_equal"] = genus
+        report["witness"] = witness
+        _emit(report, out)
+        failures += _report_failed(fields[i], fields[j], failed)
+    return failures
 
 
 def cmd_scan(records, out, group_by_disc=False, cubic_search=None,
@@ -371,32 +343,53 @@ def cmd_scan(records, out, group_by_disc=False, cubic_search=None,
     for label, fld in fields.items():
         key = (fld.n, fld.disc) if group_by_disc else (fld.n, fld.disc, fld.sig)
         groups.setdefault(key, []).append(label)
+    failures = 0
     for key in sorted(groups, key=str):
         labels = groups[key]
         if len(labels) < 2:
             continue
         _emit({"type": "group", "degree": key[0], "disc": key[1],
                "labels": labels}, out)
-        for i in range(len(labels)):
-            for j in range(i + 1, len(labels)):
-                _run_procedures(fields[labels[i]], fields[labels[j]], out)
+        grams = {label: trace_gram(fields[label]) for label in labels}
+        for la, lb in itertools.combinations(labels, 2):
+            fa, fb = fields[la], fields[lb]
+            results, _genus, failed = decide_pair(fa, fb, grams[la], grams[lb])
+            _emit_results(fa, fb, results, out)
+            failures += _report_failed(fa, fb, failed)
     if cubic_search is not None:
         classes = enumerate_cubic_fields(cubic_search)
         pair_groups = equal_disc_groups(classes)
-        npairs = 0
         for group in pair_groups:
-            npairs += _cubic_group_reports(group, witness_bound, out)
-        _emit(
-            {
-                "type": "cubic-search-summary",
-                "limit": cubic_search,
-                "fields": len(classes),
-                "equal_disc_groups": len(pair_groups),
-                "pairs": npairs,
-            },
-            out,
-        )
-    return EXIT_OK
+            failures += _cubic_group_reports(group, witness_bound, out)
+        _emit({"type": "cubic-search-summary", "limit": cubic_search,
+               "fields": len(classes), "equal_disc_groups": len(pair_groups),
+               "pairs": sum(len(g) * (len(g) - 1) // 2 for g in pair_groups)}, out)
+    return EXIT_INVARIANT if failures else EXIT_OK
+
+
+def decide_pair(fa, fb, ga, gb, procedures=None, witness=None):
+    """Decide one pair of fields and check it against the genus oracle.
+
+    Runs each (name, procedure) of `procedures` (by default
+    DECISION_PROCEDURES, read at call time), keeping its Verdict or the
+    HypothesisError or UnsupportedSplittingError that skipped it.
+    Returns ([(name, Verdict or error)], genus_equal(ga, gb), failed
+    check names).  The checks point one way: a True verdict and a
+    `witness` need equal genera, but one genus can hold several spinor
+    genera, so a False verdict on a genus-equal pair is no failure.
+    """
+    results = []
+    for name, proc in DECISION_PROCEDURES if procedures is None else procedures:
+        try:
+            results.append((name, proc(fa, fb)))
+        except (HypothesisError, UnsupportedSplittingError) as exc:
+            results.append((name, exc))
+    genus = genus_equal(ga, gb)
+    claims = [name for name, result in results
+              if isinstance(result, Verdict) and result.answer]
+    if witness is not None:
+        claims.append("witness")
+    return results, genus, [] if genus else [f"{c}-implies-genus" for c in claims]
 
 
 def oracle_checks(fld):
@@ -421,8 +414,12 @@ def oracle_checks(fld):
         h = nonresidue_odd_count(sd)
         ok = legendre_symbol(alpha, p) * (-1) ** sd.f_sum == (-1) ** (sd.g - h)
         yield (f"alpha-sign-identity@{p}", ok, f"alpha={alpha} h={h}")
-        tame_diagonal_form(sd)  # raises if the det class drifts
-        yield (f"block-form-det@{p}", True, "det class matches first factor")
+        try:
+            tame_diagonal_form(sd)  # raises if the det class drifts
+        except ConsistencyError as exc:
+            yield (f"block-form-det@{p}", False, str(exc))
+        else:
+            yield (f"block-form-det@{p}", True, "det class matches first factor")
         want = diagonal_local_symbol_odd(local_trace_model(fld, p), p)
         got = local_symbol_odd(gram, p)
         yield (f"local-model@{p}", want == got, f"model={want} gram={got}")

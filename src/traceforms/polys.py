@@ -538,7 +538,7 @@ def has_rational_root(f) -> bool:
     ``ROOT_DIVISOR_CAP``, the linear factors of the monic image
     lead^(n-1) f(y / lead) decide it instead.
     """
-    f = pnormalize(f)
+    f = _int_poly(f, "has_rational_root")
     n = pdeg(f)
     if n < 1:
         return not f

@@ -13,11 +13,12 @@ from fractions import Fraction
 import pytest
 
 from _synth import ODD_POOL, random_tame_splitting, sibling_field, synth_field
-from traceforms.cli import ingest, oracle_checks, two_adic_pair_checks
+from traceforms.cli import decide_pair, ingest, oracle_checks, two_adic_pair_checks
 from traceforms.cubicsearch import enumerate_cubic_fields, equal_disc_groups
 from traceforms.decide import (
     FieldInvariants,
     cubic_local_form_at_3,
+    cubic_same_spinor_genus,
     invariants_of,
     isometric_by_parity,
     isometric_fundamental_disc,
@@ -40,7 +41,6 @@ from traceforms.padic import (
 )
 from traceforms.quadform import (
     diagonal_local_symbol_odd,
-    genus_equal,
     local_symbol_odd,
     pairwise_witnesses,
 )
@@ -53,6 +53,17 @@ from traceforms.raminv import (
 DATA = os.path.join(os.path.dirname(__file__), "data", "corpus.jsonl")
 CUBIC_LIMIT = 20000
 ODD_PRIMES_97 = [p for p in range(3, 98) if all(p % q for q in range(2, p))]
+
+
+def cubic_pair_verdict(cubic_run, c1, c2, procedure):
+    """`procedure`'s verdict on a searched cubic pair, which `decide_pair`
+    checks against the genus oracle together with the pair's witness."""
+    f, g = cubic_run["fields"], cubic_run["grams"]
+    [(_, verdict)], _, failed = decide_pair(
+        f[c1.poly], f[c2.poly], g[c1.poly], g[c2.poly], [(procedure.__name__, procedure)],
+        cubic_run["witnesses"].get((c1.poly, c2.poly)))
+    assert failed == [], (c1, c2, failed)
+    return verdict
 
 
 def report(num: int, ok: bool, detail: str):
@@ -162,14 +173,11 @@ def test_criterion_4_cubic_isometry_theorem(cubic_run):
     assert any(len(g) >= 3 for g in neg_groups)
     pairs = 0
     found = 0
-    fields = cubic_run["fields"]
-    grams = cubic_run["grams"]
     for group in neg_groups:
         for c1, c2 in itertools.combinations(group, 2):
             pairs += 1
-            verdict = isometric_trace_forms(fields[c1.poly], fields[c2.poly])
+            verdict = cubic_pair_verdict(cubic_run, c1, c2, isometric_trace_forms)
             assert verdict.answer, (c1, c2)
-            assert genus_equal(grams[c1.poly], grams[c2.poly]), (c1, c2)
             if cubic_run["witnesses"].get((c1.poly, c2.poly)) is not None:
                 found += 1
     elapsed = cubic_run["elapsed"] + (time.monotonic() - t0)
@@ -200,9 +208,8 @@ def test_criterion_5_cubic_spinor_theorem(cubic_run):
     pairs = 0
     for group in cubic_run["groups"]:
         for c1, c2 in itertools.combinations(group, 2):
-            assert genus_equal(
-                cubic_run["grams"][c1.poly], cubic_run["grams"][c2.poly]
-            ), (c1, c2)
+            verdict = cubic_pair_verdict(cubic_run, c1, c2, cubic_same_spinor_genus)
+            assert verdict.answer, (c1, c2)
             pairs += 1
     real = sum(1 for g in cubic_run["groups"] if g[0].disc > 0)
     report(

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from _optimized import CHILD_ENV
+import traceforms.cli as cli
 from traceforms.cli import (
     EXIT_INVARIANT,
     EXIT_NO_CRITERION,
@@ -23,7 +24,9 @@ from traceforms.cli import (
     main,
     parse_record,
 )
-from traceforms.errors import DuplicateLabelError, NotAFieldError, ParseError
+from traceforms.decide import SAME_SPINOR_GENUS, Verdict
+from traceforms.errors import (ConsistencyError, DuplicateLabelError, NotAFieldError,
+                               ParseError)
 from traceforms.numberfield import field_from_record
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "corpus.jsonl")
@@ -192,8 +195,6 @@ def test_compare_prints_a_degree_six_witness_at_bound_eight(capsys):
 
 
 def test_compare_builds_only_the_two_named_fields(tmp_path, monkeypatch):
-    import traceforms.cli as cli
-
     built = []
 
     def counting(rec, *args, **kwargs):
@@ -303,9 +304,9 @@ def test_scan_mixed_signature_group(tmp_path):
     assert skips, "mixed-signature pairs should be skipped with reasons"
 
 
-def test_scan_cubic_search_small(tmp_path):
+def test_scan_cubic_search_small(monkeypatch, capsys):
     code, lines = run_lines(cmd_scan, [], cubic_search=1300)
-    assert code == EXIT_OK
+    assert code == EXIT_OK and capsys.readouterr().err == ""
     pairs = [l for l in lines if l["type"] == "cubic-pair"]
     assert [p["disc"] for p in pairs] == [-1228, -1228, -1228, -972]
     assert all(p["genus_equal"] for p in pairs)
@@ -313,6 +314,12 @@ def test_scan_cubic_search_small(tmp_path):
     assert all(p["witness"] is not None for p in pairs)
     summary = next(l for l in lines if l["type"] == "cubic-search-summary")
     assert summary["pairs"] == 4
+    # every True verdict and every witness is checked against the genus
+    monkeypatch.setattr(cli, "genus_equal", lambda ga, gb: False)
+    assert run_lines(cmd_scan, [], cubic_search=1300)[0] == EXIT_INVARIANT
+    failed = [line.split()[2] for line in capsys.readouterr().err.splitlines()]
+    assert sorted(failed) == sorted(4 * ["isometric-implies-genus", "witness-implies-genus",
+                                         "same_spinor_genus-implies-genus"])
 
 
 # sha256 prefixes of stdout: a byte change in any of these reports is a
@@ -331,6 +338,20 @@ def test_cli_stdout_is_pinned(capsys, argv, digest):
     assert main(argv) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("argv, pairs", [
+    (["scan", DATA, "--group-by-disc"], [("q2048b", "q2048c"), ("q2048c", "q2048d")]),
+    (["compare", DATA, "c23", "c31"], [("c23", "c31")]),
+])
+def test_a_true_verdict_on_distinct_genera_exits_5(monkeypatch, capsys, argv, pairs):
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    planted = (("planted", lambda fa, fb: Verdict(True, SAME_SPINOR_GENUS, "planted", ())),)
+    monkeypatch.setattr(cli, "DECISION_PROCEDURES", planted)
+    assert main(argv) == EXIT_INVARIANT
+    assert capsys.readouterr().err == "".join(
+        f"check failed: planted-implies-genus on {a} and {b}\n" for a, b in pairs)
 
 
 def test_scan_empty_input():
@@ -353,6 +374,19 @@ def test_oracle_check_corpus_subset(tmp_path):
     assert any(n == "wild-cubic-local@3" for n in names)
     summary = lines[-1]
     assert summary == {"type": "summary", "checks_failed": 0}
+
+
+def test_oracle_check_reports_a_block_form_failure(monkeypatch):
+    def drifting(sd):
+        raise ConsistencyError("planted det class drift")
+
+    monkeypatch.setattr(cli, "tame_diagonal_form", drifting)
+    code, lines = run_lines(cmd_oracle_check, ingest(DATA))
+    assert code == EXIT_INVARIANT
+    failed = [l for l in lines if not l.get("ok", True)]
+    assert failed and all(l["name"].startswith("block-form-det@") and
+                          l["detail"] == "planted det class drift" for l in failed)
+    assert lines[-1] == {"type": "summary", "checks_failed": len(failed)}
 
 
 def test_main_exit_codes(tmp_path, capsys):

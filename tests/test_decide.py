@@ -7,6 +7,7 @@ import pytest
 from _synth import sibling_field, synth_field
 from traceforms.decide import (
     FieldInvariants,
+    Verdict,
     cubic_local_form_at_3,
     cubic_same_spinor_genus,
     galois_same_spinor_genus,
@@ -279,9 +280,8 @@ def test_oracle_agreement_on_quartic_scan():
     # on real fields, not just the cubic always-true population.
     import itertools
 
-    from traceforms.errors import UnsupportedSplittingError
+    from traceforms.cli import decide_pair
     from traceforms.polys import discriminant, is_irreducible_int
-    from traceforms.quadform import genus_equal as oracle_equal
 
     fields = []
     for a, b, c, d in itertools.product(
@@ -309,17 +309,12 @@ def test_oracle_agreement_on_quartic_scan():
         if len(members) < 2 or sig[1] == 0:
             continue
         for f1, f2 in itertools.combinations(members, 2):
-            try:
-                verdict = isometric_trace_forms(f1, f2)
-            except (HypothesisError, UnsupportedSplittingError):
-                continue
-            assert verdict.answer == oracle_equal(trace_gram(f1), trace_gram(f2)), (
-                f1.label,
-                f2.label,
-            )
-            if verdict.answer:
-                true_pairs += 1
-            else:
-                false_pairs += 1
+            [(_, verdict)], genus, _ = decide_pair(
+                f1, f2, trace_gram(f1), trace_gram(f2),
+                [("isometric_trace_forms", isometric_trace_forms)])
+            if isinstance(verdict, Verdict):
+                assert verdict.answer == genus, (f1.label, f2.label)
+                true_pairs += verdict.answer
+                false_pairs += not verdict.answer
     assert true_pairs >= 100
     assert false_pairs >= 1

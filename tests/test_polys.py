@@ -361,13 +361,16 @@ NON_INTEGER_CALLS = [
     (sturm_real_roots, ([Fraction(-1, 2), 0, 1],)),
     (pdivmod, ([1, 0, 1], [Fraction(1, 2), 1])),
     (pdivmod, ([1.0, 0, 1], [1, 1])),
+    (has_rational_root, ([Fraction(1, 2), 0, 1],)),
+    (has_rational_root, ([-2, 0, 2.0],)),
 ]
 
 
 @pytest.mark.parametrize("func, args", NON_INTEGER_CALLS)
 def test_non_integer_coefficients_are_rejected(func, args):
     # factor_monic_int([1/2, 0, 1]) used to loop for ever, is_irreducible_int
-    # raised TypeError, and sturm_real_roots([-0.5, 0, 1]) answered 2
+    # and has_rational_root raised TypeError, and sturm_real_roots([-0.5,
+    # 0, 1]) answered 2
     with pytest.raises(ValueError, match="integer"):
         func(*args)
 
@@ -375,9 +378,11 @@ def test_non_integer_coefficients_are_rejected(func, args):
 def test_integer_checks_survive_python_O():
     proc = run_optimized("""
 from fractions import Fraction
-from traceforms.polys import factor_monic_int, is_irreducible_int, pdivmod, sturm_real_roots
+from traceforms.polys import (factor_monic_int, has_rational_root, is_irreducible_int,
+                              pdivmod, sturm_real_roots)
 calls = [(factor_monic_int, [Fraction(1, 2), 0, 1]), (is_irreducible_int, [-2.0, 0, 1]),
-         (sturm_real_roots, [-0.5, 0, 1]), (pdivmod, [1.0, 0, 1], [1, 1])]
+         (sturm_real_roots, [-0.5, 0, 1]), (pdivmod, [1.0, 0, 1], [1, 1]),
+         (has_rational_root, [Fraction(1, 2), 0, 1]), (has_rational_root, [-2, 0, 2.0])]
 for func, *args in calls:
     try:
         print(func(*args))
