@@ -49,6 +49,7 @@ from .numberfield import (
 from .padic import legendre_symbol
 from .quadform import (
     canonical_two_adic_symbol,
+    check_witness_bound,
     diagonal_local_symbol_odd,
     genus_equal,
     genus_symbol,
@@ -336,8 +337,10 @@ def _cubic_group_reports(group, witness_bound, out):
 def cmd_scan(records, out, group_by_disc=False, cubic_search=None,
              witness_bound=8) -> int:
     _check_witness_bound(witness_bound)
-    if cubic_search is not None and cubic_search > MAX_CUBIC_SEARCH:
-        raise LimitError(f"cubic search cap is {MAX_CUBIC_SEARCH}, got {cubic_search}")
+    if cubic_search is not None:
+        if cubic_search > MAX_CUBIC_SEARCH:
+            raise LimitError(f"cubic search cap is {MAX_CUBIC_SEARCH}, got {cubic_search}")
+        check_witness_bound(3, witness_bound)  # the walk on cubic trace forms
     fields = _build_fields(records)
     groups = {}
     for label, fld in fields.items():

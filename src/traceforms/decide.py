@@ -78,14 +78,31 @@ def _basic(obj):
     return obj.n, obj.disc, obj.sig
 
 
-def _require_tame(inv: FieldInvariants):
-    if not inv.tame:
-        wild = sorted(p for p, sd in inv.profile.items() if not sd.tame)
-        raise TamenessError(f"wild ramification at {wild}")
+def _require_degree(K, L, at_least=None):
+    if K.n != L.n:
+        raise HypothesisError("fields must have equal degree")
+    if at_least is not None and K.n < at_least:
+        raise HypothesisError(f"criterion needs degree at least {at_least}")
+
+
+def _require_tame(*fields: FieldInvariants):
+    for inv in fields:
+        if not inv.tame:
+            wild = sorted(p for p, sd in inv.profile.items() if not sd.tame)
+            raise TamenessError(f"wild ramification at {wild}")
 
 
 def _odd_ramified(inv: FieldInvariants):
     return sorted(p for p in inv.profile if p != 2)
+
+
+def _odd_prime_table(K: FieldInvariants, L: FieldInvariants, invariant):
+    """The table {p: (invariant of K at p, invariant of L at p)} over K's
+    odd ramified primes, each value invariant(splitting data, p), and
+    whether K and L agree at every one."""
+    table = {p: (invariant(K.profile[p], p), invariant(L.profile[p], p))
+             for p in _odd_ramified(K)}
+    return table, all(a == b for a, b in table.values())
 
 
 def _assert_same_ramified(a: FieldInvariants, b: FieldInvariants):
@@ -103,30 +120,19 @@ def same_spinor_genus(K, L) -> Verdict:
     the common discriminant.
     """
     K, L = invariants_of(K), invariants_of(L)
-    if K.n != L.n:
-        raise HypothesisError("fields must have equal degree")
-    if K.n < 3:
-        raise HypothesisError("criterion needs degree at least 3")
-    _require_tame(K)
-    _require_tame(L)
-    hyps = ("equal degree", "degree >= 3", "both tame")
+    _require_degree(K, L, at_least=3)
+    _require_tame(K, L)
     disc_eq = K.disc == L.disc
-    sig_eq = K.sig == L.sig
-    symbols = {}
-    symbols_ok = True
+    symbols, symbols_ok = {}, True
     if disc_eq:
         _assert_same_ramified(K, L)
-        for p in _odd_ramified(K):
-            lk = legendre_symbol(first_ramification_factor(K.profile[p]), p)
-            ll = legendre_symbol(first_ramification_factor(L.profile[p]), p)
-            symbols[p] = (lk, ll)
-            if lk != ll:
-                symbols_ok = False
+        symbols, symbols_ok = _odd_prime_table(
+            K, L, lambda sd, p: legendre_symbol(first_ramification_factor(sd), p))
     return Verdict(
-        answer=disc_eq and sig_eq and symbols_ok,
+        answer=disc_eq and K.sig == L.sig and symbols_ok,
         basis=SAME_SPINOR_GENUS,
         theorem="tame-spinor-criterion",
-        hypotheses=hyps,
+        hypotheses=("equal degree", "degree >= 3", "both tame"),
         witnesses={
             "disc": (K.disc, L.disc),
             "signature": (K.sig, L.sig),
@@ -153,8 +159,7 @@ def isometric_trace_forms(K, L) -> Verdict:
             hypotheses=("both cubic", "negative discriminant"),
             witnesses={"disc": (dK, dL)},
         )
-    if nK != nL:
-        raise HypothesisError("fields must have equal degree")
+    _require_degree(K, L)
     if sK[1] == 0 and sL[1] == 0:
         raise HypothesisError("no isometry criterion for totally real fields")
     inner = same_spinor_genus(K, L)
@@ -175,14 +180,10 @@ def isometric_by_parity(K, L) -> Verdict:
     every odd ramified prime.
     """
     K, L = invariants_of(K), invariants_of(L)
-    if K.n != L.n:
-        raise HypothesisError("fields must have equal degree")
-    if K.n < 3:
-        raise HypothesisError("criterion needs degree at least 3")
+    _require_degree(K, L, at_least=3)
     if K.sig[1] == 0 and L.sig[1] == 0:
         raise HypothesisError("no isometry criterion for totally real fields")
-    _require_tame(K)
-    _require_tame(L)
+    _require_tame(K, L)
     n = K.n
     f_table = {-1: (sum(K.sig), sum(L.sig))}
     residue_ok = sum(K.sig) == sum(L.sig)
@@ -192,15 +193,10 @@ def isometric_by_parity(K, L) -> Verdict:
         f_table[p] = (fk, fl)
         if fk != fl:
             residue_ok = False
-    parity_table = {}
-    parity_ok = True
+    parity_table, parity_ok = {}, True
     if residue_ok:
-        for p in _odd_ramified(K):
-            gk = K.profile[p].g - nonresidue_odd_count(K.profile[p])
-            gl = L.profile[p].g - nonresidue_odd_count(L.profile[p])
-            parity_table[p] = (gk % 2, gl % 2)
-            if gk % 2 != gl % 2:
-                parity_ok = False
+        parity_table, parity_ok = _odd_prime_table(
+            K, L, lambda sd, p: (sd.g - nonresidue_odd_count(sd)) % 2)
     return Verdict(
         answer=residue_ok and parity_ok,
         basis=ISOMETRIC_TRACE,
@@ -230,14 +226,7 @@ def isometric_fundamental_disc(K, L) -> Verdict:
             if p == 2 and squarefree_disc:
                 continue  # squarefree discriminant lifts the condition at 2
             raise TamenessError(f"wild ramification at {p}")
-    parity = {}
-    ok = True
-    for p in _odd_ramified(K):
-        gk = K.profile[p].g % 2
-        gl = L.profile[p].g % 2
-        parity[p] = (gk, gl)
-        if gk != gl:
-            ok = False
+    parity, ok = _odd_prime_table(K, L, lambda sd, p: sd.g % 2)
     return Verdict(
         answer=ok,
         basis=ISOMETRIC_TRACE,
@@ -262,12 +251,10 @@ def galois_same_spinor_genus(K, L) -> Verdict:
     K, L = invariants_of(K), invariants_of(L)
     if not (K.galois and L.galois):
         raise HypothesisError("both fields must be flagged Galois")
-    if K.n != L.n:
-        raise HypothesisError("fields must have equal degree")
+    _require_degree(K, L)
     if K.n % 2 == 0:
         raise HypothesisError("criterion needs odd degree")
-    _require_tame(K)
-    _require_tame(L)
+    _require_tame(K, L)
     for inv, name in ((K, "first"), (L, "second")):
         for p, sd in inv.profile.items():
             if len(set(sd.pairs)) != 1:
@@ -294,17 +281,11 @@ def galois_same_spinor_genus(K, L) -> Verdict:
             ),
             witnesses={"disc": (K.disc, L.disc)},
         )
-    symbols = {}
-    ok = True
+    symbols, ok = {}, True
     if disc_eq:
         _assert_same_ramified(K, L)
-        for p in _odd_ramified(K):
-            ek = K.profile[p].pairs[0][0]
-            el = L.profile[p].pairs[0][0]
-            lk, ll = legendre_symbol(ek, p), legendre_symbol(el, p)
-            symbols[p] = (lk, ll)
-            if lk != ll:
-                ok = False
+        symbols, ok = _odd_prime_table(
+            K, L, lambda sd, p: legendre_symbol(sd.pairs[0][0], p))
     return Verdict(
         answer=disc_eq and ok,
         basis=SAME_SPINOR_GENUS,
@@ -322,8 +303,7 @@ def single_odd_prime_isometric(K, L) -> Verdict:
     """Isometry granted outright: tame, non-totally-real, equal signature
     and discriminant, and at most one odd ramified prime."""
     K, L = invariants_of(K), invariants_of(L)
-    _require_tame(K)
-    _require_tame(L)
+    _require_tame(K, L)
     if K.sig != L.sig:
         raise HypothesisError("fields must share the signature")
     if K.sig[1] == 0:

@@ -25,7 +25,6 @@ from fractions import Fraction
 from .errors import (
     ConsistencyError,
     FormRangeError,
-    HypothesisError,
     LimitError,
     SingularFormError,
 )
@@ -730,27 +729,30 @@ class _MeetInTheMiddle:
 WALK_STATES_CAP = 2_016_000
 
 
+def check_witness_bound(n: int, bound: int):
+    """Raise FormRangeError for a bound below 1, and LimitError for one
+    whose walk on forms of dimension n could store more than
+    `WALK_STATES_CAP` states per side, at 2n(n-1) children per pop."""
+    if bound < 1:
+        raise FormRangeError("bound must be positive")
+    if 2000 * bound * 2 * n * (n - 1) > WALK_STATES_CAP:
+        raise LimitError("witness search space too large")
+
+
 def isometry_witness_search(g1: GramMatrix, g2: GramMatrix, bound: int):
     """Search for U with U^T G1 U = G2 and det(U) = +-1, or return None.
 
-    Forms of different genus are not isometric, so `genus_equal`
-    (dimension, determinant and signature first) screens them out before
-    any reduction or search.  Otherwise both forms are size-reduced and one
-    meet-in-the-middle walk over classes modulo signed permutations runs
-    with a budget of 2000 * bound pops per side.  The walk is resumable, so
-    this equals the first witness found by searching at each bound 1, 2,
-    ..., bound in turn.  Every returned witness is mapped back to the
-    original bases and re-verified exactly; None never certifies
-    non-isometry.  A bound whose walk could store more than
-    `WALK_STATES_CAP` states per side raises LimitError before any search.
+    After `check_witness_bound` at the larger dimension, `genus_equal`
+    (dimension, determinant and signature first) screens out forms of
+    different genus, which are not isometric, before any reduction or
+    search.  Otherwise both forms are size-reduced and one meet-in-the-middle
+    walk over classes modulo signed permutations runs with a budget of
+    2000 * bound pops per side.  The walk is resumable, so this equals the
+    first witness found by searching at each bound 1, 2, ..., bound in
+    turn.  Every returned witness is mapped back to the original bases and
+    re-verified exactly; None never certifies non-isometry.
     """
-    if g1.n != g2.n:
-        raise HypothesisError("witness search needs equal dimensions")
-    if bound < 1:
-        raise FormRangeError("bound must be positive")
-    # each pop stores at most 2n(n-1) children per side
-    if 2000 * bound * 2 * g1.n * (g1.n - 1) > WALK_STATES_CAP:
-        raise LimitError("witness search space too large")
+    check_witness_bound(max(g1.n, g2.n), bound)
     if not genus_equal(g1, g2):
         return None
     red1, u1 = reduce_gram(g1)
@@ -767,55 +769,32 @@ def isometry_witness_search(g1: GramMatrix, g2: GramMatrix, bound: int):
 def pairwise_witnesses(grams, bound: int):
     """Witnesses for every pair in a family of forms expected isometric.
 
-    Returns {(i, j): U or None} for i < j.  Found witnesses are composed
-    transitively (and inverted) before any direct search runs, so a
-    spanning tree of direct hits covers the whole family; every returned
-    matrix is re-verified exactly.  A direct search is one
-    `isometry_witness_search` at `bound`: the genus screen, then the walk
-    over classes modulo signed permutations to 2000 * bound pops per side.
+    Returns {(i, j): U or None} for i < j.  Direct hits join the forms
+    into classes, each with a root (its first member) and a witness R[k]
+    from the root to each member k.  A pair inside one class gets
+    R[i]^-1 R[j] with no search; a direct hit U from i to j moves j's
+    class under i's root, R[k] <- R[i] U R[j]^-1 R[k].  The hits form a
+    forest, so every composed matrix is the product along the one path
+    of hits between i and j.  A direct search is one
+    `isometry_witness_search` at `bound`; every matrix is verified exactly.
     """
-    from collections import deque
-
     k = len(grams)
-    known: dict = {}
-
-    def compose(i, j):
-        prev = {i: None}
-        queue = deque([i])
-        while queue and j not in prev:
-            x = queue.popleft()
-            for (a, b), u in known.items():
-                for src, dst in ((a, b), (b, a)):
-                    if src == x and dst not in prev:
-                        prev[dst] = (x, (a, b))
-                        queue.append(dst)
-        if j not in prev:
-            return None
-        path = []
-        node = j
-        while prev[node] is not None:
-            x, edge = prev[node]
-            path.append((x, node, edge))
-            node = x
-        path.reverse()
-        n = grams[i].n
-        u = [[int(r == c) for c in range(n)] for r in range(n)]
-        for x, y, edge in path:
-            w = known[edge]
-            if (x, y) != edge:
-                w = unimodular_inverse(w)
-            u = mat_mul(u, w)
-        if _congruent(u, grams[i], grams[j]) and abs(det_int(u)) == 1:
-            return u
-        return None
-
+    root = list(range(k))
+    witness = [[[int(r == c) for c in range(g.n)] for r in range(g.n)] for g in grams]
     out = {}
     for i in range(k):
         for j in range(i + 1, k):
-            u = compose(i, j)
-            if u is None:
+            if root[i] == root[j]:
+                u = mat_mul(unimodular_inverse(witness[i]), witness[j])
+                if not _congruent(u, grams[i], grams[j]) or abs(det_int(u)) != 1:
+                    raise ConsistencyError("composed witness is not an isometry")
+            else:
                 u = isometry_witness_search(grams[i], grams[j], bound)
-            if u is not None:
-                known[(i, j)] = u
+                if u is not None:
+                    lift = mat_mul(mat_mul(witness[i], u), unimodular_inverse(witness[j]))
+                    old = root[j]
+                    for m in range(k):
+                        if root[m] == old:
+                            root[m], witness[m] = root[i], mat_mul(lift, witness[m])
             out[(i, j)] = u
     return out

@@ -229,6 +229,29 @@ def test_negative_witness_bound_is_rejected(capsys, argv):
     assert capsys.readouterr() == ("", "error: bound must be positive\n")
 
 
+def test_compare_fields_of_different_degree(capsys):
+    # a cubic against a quartic: every procedure skips, and the genus
+    # screen rules out a witness without a search
+    argv = ["compare", DATA, "c81", "z8"]
+    assert main(argv) == EXIT_TAME
+    skips = capsys.readouterr().out
+    assert [json.loads(line)["type"] for line in skips.splitlines()] == 7 * ["skip"]
+    assert main(argv + ["--witness-bound", "8"]) == EXIT_TAME
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == skips + json.dumps({"type": "witness", "a": "c81", "b": "z8",
+                                      "bound": 8, "matrix": None},
+                                     separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("records", [[], [DATA]])
+def test_scan_checks_the_cubic_walk_cap_before_any_output(capsys, records):
+    # bound 85 is over the walk's state cap at n = 3
+    argv = ["scan", *records, "--cubic-search", "3000", "--witness-bound", "85"]
+    assert main(argv) == EXIT_PARSE
+    assert capsys.readouterr() == ("", "error: witness search space too large\n")
+
+
 def test_compare_disc_mismatch(tmp_path):
     path = write_records(tmp_path, [
         {"label": "a", "poly": [-1, -1, 0, 1]},

@@ -1,10 +1,14 @@
 import dataclasses
+import hashlib
+import itertools
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
-from _synth import sibling_field, synth_field
+from _synth import ODD_POOL, sibling_field, synth_field, tame_disc, tame_splittings
+from traceforms.cli import ingest
 from traceforms.decide import (
     FieldInvariants,
     Verdict,
@@ -22,6 +26,7 @@ from traceforms.errors import (
     FlagInconsistencyError,
     HypothesisError,
     TamenessError,
+    TraceFormsError,
 )
 from traceforms.numberfield import (
     FieldRecord,
@@ -34,6 +39,8 @@ from traceforms.quadform import (
     genus_equal,
     local_symbol_odd,
 )
+
+CORPUS = os.path.join(os.path.dirname(__file__), "data", "corpus.jsonl")
 
 
 def make_field(label, poly, **kw):
@@ -318,3 +325,90 @@ def test_oracle_agreement_on_quartic_scan():
                 false_pairs += not verdict.answer
     assert true_pairs >= 100
     assert false_pairs >= 1
+
+
+SEVEN_PROCEDURES = (
+    isometric_trace_forms,
+    same_spinor_genus,
+    isometric_by_parity,
+    isometric_fundamental_disc,
+    single_odd_prime_isometric,
+    galois_same_spinor_genus,
+    cubic_same_spinor_genus,
+)
+
+
+def _outcomes_digest(pairs):
+    """sha256 prefix of every procedure's Verdict, or of the class and
+    message of the error that skipped it, on every pair in order."""
+    h = hashlib.sha256()
+    for a, b in pairs:
+        for proc in SEVEN_PROCEDURES:
+            try:
+                outcome = repr(proc(a, b).as_dict())
+            except TraceFormsError as exc:
+                outcome = f"{type(exc).__name__}: {exc}"
+            h.update(f"{proc.__name__} {outcome}\n".encode())
+    return h.hexdigest()[:16]
+
+
+def _galois_field(rng, n):
+    """A synthetic field flagged Galois: equal (e, f) pairs at each of one
+    or two odd primes, totally real for odd n."""
+    shapes = {p: [sd for sd in tame_splittings(n, p) if len(set(sd.pairs)) == 1]
+              for p in ODD_POOL}
+    primes = [p for p in ODD_POOL if shapes[p]]
+    profile = {p: rng.choice(shapes[p]) for p in sorted(rng.sample(primes, rng.randint(1, 2)))}
+    s = 0 if n % 2 else n // 2
+    return FieldInvariants(n=n, disc=tame_disc(n, s, profile), sig=(n - 2 * s, s),
+                           profile=profile, tame=True, galois=True)
+
+
+def _squarefree_field(rng, n):
+    """A synthetic field with e = 2 once above each of one to three odd
+    primes, so its discriminant is squarefree (fundamental for half the
+    signatures)."""
+    primes = sorted(rng.sample(ODD_POOL, rng.randint(1, 3)))
+    profile = {p: rng.choice(tame_splittings(n, p, f_sum=n - 1)) for p in primes}
+    s = rng.randint(0, n // 2)
+    return FieldInvariants(n=n, disc=tame_disc(n, s, profile), sig=(n - 2 * s, s),
+                           profile=profile, tame=True)
+
+
+def _synthetic_pairs(n):
+    rng = random.Random(1009 * n)
+    pairs = []
+    for _ in range(40):
+        a = synth_field(rng, n, galois=rng.random() < 0.3 or None)
+        pairs.append((a, sibling_field(rng, a)))
+        pairs.append((a, sibling_field(rng, a, keep_residue_sums=False)))
+        pairs.append((a, synth_field(rng, n, s=a.sig[1], primes=list(a.profile))))
+        pairs.append((a, synth_field(rng, rng.choice([n - 1, n + 1]))))
+        g = _galois_field(rng, n)
+        pairs.append((g, _galois_field(rng, n)))
+        pairs.append((g, dataclasses.replace(sibling_field(rng, g), galois=True)))
+        f = _squarefree_field(rng, n)
+        pairs.append((f, sibling_field(rng, f)))
+    return pairs
+
+
+# sha256 prefixes of every outcome: a change to any verdict, evidence table
+# or skip message has to be made on purpose.  n = 9 reaches the
+# non-totally-ramified Galois branch
+VERDICT_PINS = {
+    3: "b22ce728c6266479", 4: "8642664dec360b1e", 5: "4bfa715935eb8dad",
+    6: "02f0b2dbbcaad624", 7: "a6127053d823e558", 8: "8c3c524cf33a424f",
+    9: "f1bb22aa590991b5",
+}
+
+
+@pytest.mark.parametrize("n", sorted(VERDICT_PINS))
+def test_seven_procedures_are_pinned_on_synthetic_pairs(n):
+    assert _outcomes_digest(_synthetic_pairs(n)) == VERDICT_PINS[n]
+
+
+def test_seven_procedures_are_pinned_on_the_corpus():
+    fields = [field_from_record(rec) for rec in ingest(CORPUS)]
+    pairs = [(a, b) for a, b in itertools.permutations(fields, 2) if a.n == b.n]
+    assert len(pairs) == 786
+    assert _outcomes_digest(pairs) == "c8ce25663057a297"

@@ -9,6 +9,7 @@ import pytest
 
 from _optimized import run_optimized
 from traceforms.cli import ingest
+from traceforms.cubicsearch import enumerate_cubic_fields
 from traceforms.errors import (
     FormRangeError,
     HypothesisError,
@@ -16,7 +17,7 @@ from traceforms.errors import (
     SingularFormError,
 )
 from traceforms.linalg import det_int, mat_mul, transpose, unimodular_inverse
-from traceforms.numberfield import field_from_record, trace_gram
+from traceforms.numberfield import FieldRecord, field_from_record, trace_gram
 from traceforms.padic import (
     check_odd_prime,
     check_spot,
@@ -38,6 +39,7 @@ from traceforms.quadform import (
     _round_div,
     isometry_witness_search,
     local_symbol_odd,
+    pairwise_witnesses,
     reduce_gram,
     signature,
 )
@@ -511,6 +513,13 @@ def test_witness_search_examples():
     assert transformed(g1, u2).entries == g1.entries
     # different determinant: no witness at any bound
     assert isometry_witness_search(g1, GramMatrix([[2, 0], [0, 4]]), 3) is None
+    # different dimension: the genus screen answers, in either order, and
+    # the bound is checked at the larger dimension (<= 42 at n = 4)
+    g3, g4 = diag_gram(1, 1, 1), diag_gram(1, 1, 1, 1)
+    for pair in ((g3, g4), (g4, g3)):
+        assert isometry_witness_search(*pair, 42) is None
+        with pytest.raises(LimitError):
+            isometry_witness_search(*pair, 43)
 
 
 def test_witness_bound_is_checked_before_the_search():
@@ -910,3 +919,57 @@ except ConsistencyError:
 raise SystemExit(1)
 """)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def _cubic_group_grams(disc):
+    """Trace Grams of the cubic fields of discriminant `disc`, in the
+    enumerator's order."""
+    classes = enumerate_cubic_fields(abs(disc))
+    return [trace_gram(field_from_record(FieldRecord(label=str(c.poly), poly=c.poly)))
+            for c in classes if c.disc == disc]
+
+
+def _counted_search(monkeypatch, grams, miss=()):
+    """Wrap the direct search that pairwise_witnesses runs: record each
+    searched pair of indices, and return None on the pairs in `miss`."""
+    import traceforms.quadform as qf
+
+    searched, search = [], qf.isometry_witness_search
+
+    def wrapper(g1, g2, bound):
+        pair = tuple(next(i for i, g in enumerate(grams) if g is h) for h in (g1, g2))
+        searched.append(pair)
+        return None if pair in miss else search(g1, g2, bound)
+
+    monkeypatch.setattr(qf, "isometry_witness_search", wrapper)
+    return searched
+
+
+def _witness_digest(witnesses):
+    text = repr(sorted(witnesses.items()))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# the digests are those of a breadth-first path search over the direct hits
+def test_pairwise_witnesses_compose_through_direct_hits(monkeypatch):
+    grams = _cubic_group_grams(-1228)
+    searched = _counted_search(monkeypatch, grams)
+    witnesses = pairwise_witnesses(grams, 8)
+    assert searched == [(0, 1), (0, 2)]
+    assert all(u is not None for u in witnesses.values())
+    assert _witness_digest(witnesses) == "cf2265d342cecafb"
+
+
+@pytest.mark.parametrize("miss, searched, digest", [
+    # (1, 2) joins {0, 1, 3} and {2}; (1, 3) and (2, 3) are composed
+    ({(0, 2)}, [(0, 1), (0, 2), (0, 3), (1, 2)], "010e6a98309b1644"),
+    # (1, 2) moves {0, 2}, whose root is 0, under 1; (2, 3) is composed
+    ({(0, 1), (0, 3)}, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], "1c03d1c3e0cf3318"),
+])
+def test_a_later_hit_bridges_two_witness_classes(monkeypatch, miss, searched, digest):
+    grams = _cubic_group_grams(-3299)
+    log = _counted_search(monkeypatch, grams, miss)
+    witnesses = pairwise_witnesses(grams, 8)
+    assert log == searched
+    assert [pair for pair, u in witnesses.items() if u is None] == sorted(miss)
+    assert _witness_digest(witnesses) == digest
